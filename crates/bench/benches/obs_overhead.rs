@@ -6,9 +6,8 @@
 //! `BATCH` back-to-back operations per sample — the harness brackets every
 //! sample with two clock reads, which would swamp a ~40 ns operation if
 //! measured singly — so per-op cost is the reported time divided by
-//! `BATCH`. `scripts/bench_summary.sh` performs that division when folding
-//! `span_enter_exit_x1024` into `BENCH_9.json`, and `scripts/check.sh`
-//! enforces the budget on the result.
+//! `BATCH`. `scripts/check.sh` performs that division on
+//! `span_enter_exit_x1024` and enforces the budget on the result.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ganopc_obs as obs;

@@ -115,14 +115,14 @@ impl Discriminator {
     /// Panics for mask-only discriminators (use
     /// [`Discriminator::forward_mask`]) or on shape mismatch.
     pub fn forward_pair(&mut self, targets: &Tensor, masks: &Tensor, train: bool) -> Tensor {
-        assert!(self.pair_input, "mask-only discriminator cannot take pairs");
-        let x = Tensor::concat_channels(&[targets, masks]);
-        self.net.forward(&x, train)
+        let mut out = Tensor::zeros(&[1]);
+        self.forward_pair_into(targets, masks, &mut out, train);
+        out
     }
 
-    /// Allocation-free counterpart of [`Discriminator::forward_pair`]:
-    /// stacks the pair into a persistent scratch buffer and writes the
-    /// probabilities `[N, 1]` into `out`.
+    /// Buffer-reusing body of [`Discriminator::forward_pair`]: stacks the
+    /// pair into a persistent scratch buffer and writes the probabilities
+    /// `[N, 1]` into `out`.
     ///
     /// # Panics
     ///
@@ -157,11 +157,11 @@ impl Discriminator {
     /// Panics for mask-only discriminators.
     pub fn backward_pair(&mut self, grad_prob: &Tensor) -> (Tensor, Tensor) {
         assert!(self.pair_input, "mask-only discriminator cannot split pair gradients");
-        let grad_input = self.net.backward(grad_prob);
-        let parts = grad_input.split_channels(&[1, 1]);
-        let mut it = parts.into_iter();
-        // PANIC: split_channels(&[1, 1]) always yields exactly two parts.
-        (it.next().expect("target grad"), it.next().expect("mask grad"))
+        self.net.backward_into(grad_prob, Some(&mut self.scratch_grad_pair));
+        let (mut grad_targets, mut grad_masks) = (Tensor::zeros(&[1]), Tensor::zeros(&[1]));
+        self.scratch_grad_pair.extract_channels_into(0, 1, &mut grad_targets);
+        self.scratch_grad_pair.extract_channels_into(1, 1, &mut grad_masks);
+        (grad_targets, grad_masks)
     }
 
     /// Allocation-free backward through the pair discriminator that keeps

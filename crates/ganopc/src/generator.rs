@@ -1,5 +1,6 @@
 //! The encoder–decoder mask generator (paper Section 3.1, Fig. 4).
 
+use ganopc_nn::checkpoint::Checkpoint;
 use ganopc_nn::layers::{
     BatchNorm2d, Conv2d, ConvTranspose2d, LeakyRelu, Relu, Sequential, Sigmoid,
 };
@@ -177,25 +178,28 @@ impl Generator {
         self.net.import_params(params)
     }
 
-    /// Saves all weights (including batch-norm running statistics) to a
-    /// checkpoint file.
+    /// Saves all weights (including batch-norm running statistics) to a v2
+    /// checkpoint file, under the section `"params"`.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn save<P: AsRef<std::path::Path>>(&mut self, path: P) -> Result<(), crate::GanOpcError> {
-        let snapshot = self.export_params();
-        ganopc_nn::checkpoint::save(path, &snapshot)?;
+        let mut ck = Checkpoint::new();
+        ck.put_tensors("params", &self.export_params());
+        ck.save(path)?;
         Ok(())
     }
 
     /// Loads weights from a checkpoint file produced by [`Generator::save`].
+    /// Files from the older v1 writer load too: the reader files their
+    /// tensor list under the same `"params"` section.
     ///
     /// # Errors
     ///
     /// Propagates I/O/format failures and layout mismatches.
     pub fn load<P: AsRef<std::path::Path>>(&mut self, path: P) -> Result<(), crate::GanOpcError> {
-        let snapshot = ganopc_nn::checkpoint::load(path)?;
+        let snapshot = Checkpoint::load(path)?.take_tensors("params")?;
         self.import_params(&snapshot)?;
         Ok(())
     }

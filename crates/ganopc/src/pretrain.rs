@@ -18,11 +18,10 @@ use ganopc_nn::checkpoint::Checkpoint;
 use ganopc_nn::optim::Sgd;
 use ganopc_nn::{pool, Tensor};
 use ganopc_obs as obs;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Hyper-parameters of Algorithm 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainConfig {
     /// Pre-training steps (mini-batches).
     pub iterations: usize,
@@ -96,7 +95,7 @@ impl Default for PretrainConfig {
 }
 
 /// Per-step pre-training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PretrainStats {
     /// Step index.
     pub step: usize,

@@ -24,11 +24,10 @@ use ganopc_nn::loss::{bce_scalar_label_into, sum_squared_error_acc_into};
 use ganopc_nn::optim::Sgd;
 use ganopc_nn::Tensor;
 use ganopc_obs as obs;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Hyper-parameters of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Total training steps (mini-batches).
     pub iterations: usize,
@@ -152,7 +151,7 @@ impl Default for TrainConfig {
 
 /// Per-step training statistics (the Fig. 7 curves are built from
 /// `l2_loss`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepStats {
     /// Training step index.
     pub step: usize,

@@ -9,7 +9,6 @@
 
 use crate::{field_to_tensor_into, tensor_to_field, GanOpcError, Generator, OpcDataset};
 use ganopc_litho::LithoModel;
-use serde::{Deserialize, Serialize};
 
 /// Deterministically splits a dataset into train/validation parts.
 ///
@@ -48,7 +47,7 @@ pub fn split_dataset(
 }
 
 /// Evaluation report for a generator over a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationReport {
     /// Instances evaluated.
     pub count: usize,

@@ -20,7 +20,7 @@ use ganopc_fault::{Domain, FaultPlan, NumericFault, WriteFault};
 use ganopc_geometry::io::write_atomic;
 use ganopc_ilt::{IltConfig, IltEngine};
 use ganopc_litho::{Field, LithoModel, OpticalConfig};
-use ganopc_nn::checkpoint::{self, Checkpoint};
+use ganopc_nn::checkpoint::Checkpoint;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -77,12 +77,9 @@ fn assert_artifacts_clean(dir: &Path) {
                 "stray atomic-write temporary survived: {}",
                 path.display()
             );
-            if name.starts_with("ring-") || name == "best.ckpt" {
+            if name.ends_with(".ckpt") {
                 Checkpoint::load(&path)
-                    .unwrap_or_else(|e| panic!("unreloadable ring entry {}: {e}", path.display()));
-            } else if name.ends_with(".ckpt") {
-                checkpoint::load(&path)
-                    .unwrap_or_else(|e| panic!("unreloadable artifact {}: {e}", path.display()));
+                    .unwrap_or_else(|e| panic!("unreloadable checkpoint {}: {e}", path.display()));
             }
         }
     }

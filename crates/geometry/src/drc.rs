@@ -5,11 +5,10 @@
 //! tests (and available to users validating their own clips).
 
 use crate::{DesignRules, Layout, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classification of the gap between two shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GapKind {
     /// Facing line ends along the wire direction (tip-to-tip rule).
     TipToTip,
@@ -31,7 +30,7 @@ impl fmt::Display for GapKind {
 }
 
 /// A single design-rule violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Violation {
     /// Shape `index` is narrower than the minimum critical dimension.
     Width {

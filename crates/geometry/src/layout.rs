@@ -2,7 +2,6 @@
 
 use crate::raster::Raster;
 use crate::Rect;
-use serde::{Deserialize, Serialize};
 
 /// A layout clip: a rectangular frame (in nm) containing rectangles.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(clip.shapes().len(), 2);
 /// assert!(clip.pattern_area() < 80 * 600 + 400 * 80); // overlap counted once
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     frame: Rect,
     shapes: Vec<Rect>,

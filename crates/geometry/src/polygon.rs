@@ -7,7 +7,6 @@
 //! scanline pass, ready to be pushed into a [`crate::Layout`].
 
 use crate::Rect;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One scanline band of a polygon interior: `(y_lo, y_hi, x-intervals)`.
@@ -62,7 +61,7 @@ impl std::error::Error for PolygonError {}
 /// assert_eq!(rects.len(), 2);
 /// # Ok::<(), ganopc_geometry::polygon::PolygonError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Polygon {
     vertices: Vec<(i64, i64)>,
 }

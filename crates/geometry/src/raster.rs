@@ -5,8 +5,6 @@
 //! interpolation** (Section 4). [`Raster::avg_pool`] and
 //! [`Raster::upsample_bilinear`] implement exactly those two stages.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major `height × width` grid of `f32` samples.
 ///
 /// Used for target patterns, masks, aerial images and wafer images across the
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(r.get(1, 2), 0.5);
 /// assert_eq!(r.sum(), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Raster {
     height: usize,
     width: usize,

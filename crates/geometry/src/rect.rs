@@ -1,6 +1,5 @@
 //! Axis-aligned integer rectangles in nanometers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open, axis-aligned rectangle `[x0, x1) × [y0, y1)` in integer
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(r.height(), 400);
 /// assert_eq!(r.area(), 32_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Left edge (inclusive).
     pub x0: i64,

@@ -1,7 +1,5 @@
 //! Design rules (paper Table 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Minimum-size design rules for clip synthesis and DRC.
 ///
 /// The GAN-OPC paper synthesizes its 4000-instance training library "based on
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(r.min_tip_to_tip_nm, 60);
 /// assert_eq!(r.min_spacing_nm(), 60);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DesignRules {
     /// Minimum wire width (critical dimension), nm.
     pub min_cd_nm: i64,

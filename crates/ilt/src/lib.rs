@@ -43,7 +43,6 @@
 use ganopc_fault as fault;
 use ganopc_litho::{Field, LithoModel};
 use ganopc_obs as obs;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -100,7 +99,7 @@ impl From<ganopc_litho::LithoError> for IltError {
 }
 
 /// ILT solver configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IltConfig {
     /// Maximum steepest-descent iterations.
     pub max_iterations: usize,

@@ -10,12 +10,11 @@
 use crate::optics::OpticalConfig;
 use crate::socs::{SocsKernel, SocsKernels};
 use ganopc_fft::Complex;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 /// Serializable image of a kernel stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct StackImage {
     /// Hash key of the generating configuration (collision check).
     config_key: u64,

@@ -2,7 +2,6 @@
 //! defect detectors of paper Fig. 2.
 
 use crate::{Field, LithoModel};
-use serde::{Deserialize, Serialize};
 
 /// Squared L2 error between wafer and target (paper Definition 1), scaled to
 /// nm² — with binary images this equals the XOR area of the two patterns.
@@ -114,7 +113,7 @@ pub fn connected_components(field: &Field, threshold: f32) -> (Vec<u32>, usize) 
 }
 
 /// Configuration of the defect detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefectConfig {
     /// EPE tolerance, nm (ICCAD-2013 uses 15 nm).
     pub epe_tolerance_nm: f64,
@@ -263,7 +262,7 @@ pub fn epe_violations(
 /// inside the drawn geometry, negative = overprint beyond it), enabling
 /// mean/percentile reporting as production OPC scorecards do. Unmeasurable points (no contour in range) are counted
 /// separately.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpeStatistics {
     /// Signed EPE samples, nm.
     pub samples_nm: Vec<f64>,
@@ -439,7 +438,7 @@ pub fn neck_count(wafer: &Field, target: &Field, cfg: &DefectConfig) -> usize {
 
 /// The full printability report for one mask (columns of Table 2 plus the
 /// Fig. 2 defect inventory).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaskMetrics {
     /// Squared L2 error at nominal dose, nm².
     pub l2_nm2: f64,

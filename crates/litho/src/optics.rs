@@ -1,7 +1,5 @@
 //! Optical system description.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the partially coherent projection system and of the
 /// simulation grid.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.wavelength_nm, 193.0);
 /// assert!(cfg.kernel_size % 2 == 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpticalConfig {
     /// Exposure wavelength, nm (ArF: 193).
     pub wavelength_nm: f64,

@@ -1,10 +1,9 @@
 //! Edge fragmentation: splitting rectangle edges into movable segments.
 
 use ganopc_geometry::{Layout, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Which side of its parent rectangle an edge segment belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeSide {
     /// Left edge (`x0`), outward normal −x.
     Left,
@@ -29,7 +28,7 @@ impl EdgeSide {
 }
 
 /// One movable edge segment with its accumulated normal offset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Index of the parent shape in the source layout.
     pub shape_index: usize,
@@ -110,7 +109,7 @@ impl Segment {
 }
 
 /// A layout whose shape edges have been fractured into segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentedLayout {
     segments: Vec<Segment>,
 }

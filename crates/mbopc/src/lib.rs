@@ -41,7 +41,6 @@ pub mod sraf;
 use fragment::{EdgeSide, FragmentedLayout};
 use ganopc_geometry::{Layout, Rect};
 use ganopc_litho::{Field, LithoError, LithoModel};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -80,7 +79,7 @@ impl From<LithoError> for MbOpcError {
 }
 
 /// Model-based OPC configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MbOpcConfig {
     /// Target segment length after fragmentation, nm.
     pub segment_length_nm: i64,

@@ -6,10 +6,9 @@
 //! widening the process window (paper ref \[9\]).
 
 use ganopc_geometry::{Layout, Rect};
-use serde::{Deserialize, Serialize};
 
 /// SRAF insertion rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrafRules {
     /// Bar width, nm — must stay below the printing resolution.
     pub width_nm: i64,

@@ -2,10 +2,12 @@
 //!
 //! Two wire formats share the `"GANOPCKP"` magic:
 //!
-//! **v1** — a bare tensor list, produced by [`to_bytes`] and consumed by
-//! [`from_bytes`]; this is what
+//! **v1** — a bare tensor list of
 //! [`Sequential::export_params`](crate::layers::Sequential::export_params)
-//! snapshots persist as:
+//! snapshots, encoded by [`to_bytes`] and decoded by [`from_bytes`]. No
+//! file is written in it any more; [`Checkpoint::load`] still reads v1
+//! files (generator weights saved by older builds), filing their tensor
+//! list under the section `"params"`:
 //!
 //! ```text
 //! magic   "GANOPCKP"            8 bytes
@@ -345,33 +347,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>, CheckpointError> {
         return Err(CheckpointError::Truncated(format!("{} trailing bytes", cur.remaining())));
     }
     Ok(tensors)
-}
-
-/// Writes a v1 snapshot to a file atomically (tmp file → sync → rename).
-///
-/// # Errors
-///
-/// Propagates I/O failures; a failure never leaves a truncated file at
-/// `path`.
-pub fn save<P: AsRef<Path>>(path: P, tensors: &[Tensor]) -> Result<(), CheckpointError> {
-    let path = path.as_ref();
-    let sp = obs::span(obs::Span::CheckpointSave);
-    obs::counter_add(obs::Counter::CheckpointSaves, 1);
-    let result = ganopc_geometry::io::write_atomic(path, &to_bytes(tensors))
-        .map_err(|source| CheckpointError::File { op: "write", path: path.to_path_buf(), source });
-    sp.finish();
-    result
-}
-
-/// Reads a v1 snapshot from a file.
-///
-/// # Errors
-///
-/// Propagates I/O failures (reported with the path) and format errors.
-pub fn load<P: AsRef<Path>>(path: P) -> Result<Vec<Tensor>, CheckpointError> {
-    let path = path.as_ref();
-    let bytes = read_checkpoint_bytes(path)?;
-    from_bytes(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -786,17 +761,6 @@ mod tests {
     fn roundtrip_empty_snapshot() {
         let restored = from_bytes(&to_bytes(&[])).unwrap();
         assert!(restored.is_empty());
-    }
-
-    #[test]
-    fn roundtrip_file() {
-        let dir = std::env::temp_dir().join("ganopc-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.ckpt");
-        let snap = snapshot();
-        save(&path, &snap).unwrap();
-        assert_eq!(load(&path).unwrap(), snap);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

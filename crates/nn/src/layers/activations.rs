@@ -35,18 +35,6 @@ macro_rules! activation_layer {
         }
 
         impl Layer for $name {
-            fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-                let mut out = Tensor::zeros(input.shape());
-                self.forward_into(input, &mut out, train);
-                out
-            }
-
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                let mut grad_in = Tensor::zeros(grad_out.shape());
-                self.backward_into(grad_out, Some(&mut grad_in));
-                grad_in
-            }
-
             // lint: hot-path
             fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
                 let fwd: fn(f32) -> f32 = $fwd;
@@ -158,18 +146,6 @@ impl Default for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(input.shape());
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(grad_out.shape());
-        self.backward_into(grad_out, Some(&mut grad_in));
-        grad_in
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
         let s = self.slope;

@@ -40,17 +40,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let (n, rest) = self.cache(input.shape());
-        input.clone().reshape(&[n, rest])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // PANIC: Layer contract — backward runs only after forward cached state.
-        let shape = self.cache_shape.as_ref().expect("backward before forward");
-        grad_out.clone().reshape(shape)
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
         let (n, rest) = self.cache(input.shape());

@@ -1,9 +1,11 @@
 //! Layers with manual forward/backward passes.
 //!
-//! Each layer caches whatever its backward pass needs during `forward`;
-//! `backward` consumes that cache and returns the gradient with respect to
-//! the layer input while accumulating parameter gradients into its
-//! [`Param`]s. Gradients accumulate across calls until
+//! Each layer has one forward body, [`Layer::forward_into`], which caches
+//! whatever its backward pass needs, and one backward body,
+//! [`Layer::backward_into`], which consumes that cache, writes the gradient
+//! with respect to the layer input and accumulates parameter gradients into
+//! its [`Param`]s. The allocating [`Layer::forward`]/[`Layer::backward`]
+//! are provided wrappers over them. Gradients accumulate across calls until
 //! [`Sequential::zero_grads`] (mini-batch accumulation, paper Algorithms 1
 //! and 2 lines 9–10).
 
@@ -52,43 +54,46 @@ impl Param {
 
 /// A differentiable network layer.
 ///
-/// Layers are stateful: `forward` caches activations for the next
-/// `backward`. Calling `backward` without a preceding `forward` panics.
+/// Layers are stateful: the forward pass caches activations for the next
+/// backward pass. Implementors write only the buffer-reusing
+/// [`Layer::forward_into`]/[`Layer::backward_into`] bodies; the allocating
+/// [`Layer::forward`]/[`Layer::backward`] wrap them. A backward pass
+/// without a preceding forward pass panics.
 pub trait Layer: Send {
-    /// Computes the layer output. `train` selects training behaviour
-    /// (e.g. batch statistics in [`BatchNorm2d`]).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output into `out`, resizing it in place. `out`
+    /// must not alias `input`. `train` selects training behaviour (e.g.
+    /// batch statistics in [`BatchNorm2d`]). Once `out` and the layer's
+    /// caches have their shapes, the pass performs no heap allocation.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool);
 
-    /// Back-propagates `grad_out`, accumulating parameter gradients, and
-    /// returns the gradient with respect to the layer input.
+    /// Back-propagates `grad_out`, accumulating parameter gradients. When
+    /// `grad_in` is `Some`, the input gradient is written into it (resized
+    /// in place; must not alias `grad_out`). `None` is the discard path:
+    /// the layer skips computing the input gradient entirely (the first
+    /// layer of a network feeds data, not another layer).
     ///
     /// # Panics
     ///
     /// Panics if no forward pass has been run.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>);
 
-    /// Buffer-reusing forward: writes the output into `out`, resizing it in
-    /// place. `out` must not alias `input`. Layers override this with an
-    /// allocation-free kernel; the default funnels through the allocating
-    /// [`Layer::forward`].
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        *out = self.forward(input, train);
+    /// Allocating wrapper over [`Layer::forward_into`]: returns the output.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut out = Tensor::zeros(&[1]);
+        self.forward_into(input, &mut out, train);
+        out
     }
 
-    /// Buffer-reusing backward: accumulates parameter gradients and, when
-    /// `grad_in` is `Some`, writes the input gradient into it (resized in
-    /// place; must not alias `grad_out`). `None` is the discard path: the
-    /// layer skips computing the input gradient entirely (the first layer
-    /// of a network feeds data, not another layer).
+    /// Allocating wrapper over [`Layer::backward_into`]: returns the
+    /// gradient with respect to the layer input.
     ///
     /// # Panics
     ///
     /// Panics if no forward pass has been run.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
-        let g = self.backward(grad_out);
-        if let Some(dst) = grad_in {
-            *dst = g;
-        }
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut grad_in = Tensor::zeros(&[1]);
+        self.backward_into(grad_out, Some(&mut grad_in));
+        grad_in
     }
 
     /// In-place forward for element-wise layers: transforms `x` directly,
@@ -161,24 +166,26 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the full forward pass.
+    /// Runs the full forward pass — an allocating wrapper over
+    /// [`Sequential::forward_into`].
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
+        let mut out = Tensor::zeros(&[1]);
+        self.forward_into(input, &mut out, train);
+        out
     }
 
     /// Back-propagates through the whole stack, returning the gradient with
     /// respect to the network input (needed to chain the discriminator's
-    /// gradient into the generator and the litho gradient into the decoder).
+    /// gradient into the generator and the litho gradient into the
+    /// decoder) — an allocating wrapper over [`Sequential::backward_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass has been run.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        let mut grad_in = Tensor::zeros(&[1]);
+        self.backward_into(grad_out, Some(&mut grad_in));
+        grad_in
     }
 
     /// Buffer-reusing forward pass: runs the stack through the persistent
@@ -186,8 +193,7 @@ impl Sequential {
     /// place). Element-wise layers transform the current tape slot in place
     /// via [`Layer::forward_inplace`]; everything else ping-pongs between
     /// the two slots. After the first call has sized the tape, the pass
-    /// performs no heap allocation. Results are bit-identical to
-    /// [`Sequential::forward`].
+    /// performs no heap allocation.
     pub fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
         let n = self.layers.len();
         if n == 0 {
@@ -228,7 +234,7 @@ impl Sequential {
     /// `grad_in = Some(buf)` receives the input gradient (resized in
     /// place); `None` lets the first layer skip computing it entirely —
     /// the discard path for networks whose input is data, not another
-    /// network. Results are bit-identical to [`Sequential::backward`].
+    /// network.
     ///
     /// # Panics
     ///

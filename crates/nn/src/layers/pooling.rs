@@ -35,18 +35,6 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(&[1]);
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[1]);
-        self.backward_into(grad_out, Some(&mut grad_in));
-        grad_in
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
         let (n, c, h, w) = input.dims4();

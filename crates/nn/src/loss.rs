@@ -42,24 +42,21 @@ pub fn mse(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
 /// *Summed* squared error `Σ (a − b)²` and its gradient — the paper's
 /// `‖M* − M‖₂²` term (Algorithm 1 line 7) without averaging, so the α weight
 /// in the combined loss means the same thing it does in the paper.
+///
+/// An allocating wrapper over [`sum_squared_error_acc_into`] with unit
+/// scale. The accumulator starts at `-0.0`, the additive identity for every
+/// `f32` (`+0.0 + -0.0` would be `+0.0`), so each element is exactly `2(a − b)`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
 pub fn sum_squared_error(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
-    assert_eq!(a.shape(), b.shape(), "sse shape mismatch");
-    let mut value = 0.0f64;
-    let grad: Vec<f32> = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| {
-            let d = x - y;
-            value += (d as f64) * (d as f64);
-            2.0 * d
-        })
-        .collect();
-    guard::check_finite_scalar("sse loss", value);
-    (value, Tensor::from_vec(a.shape(), grad))
+    let mut grad = Tensor::filled(a.shape(), -0.0);
+    let value = sum_squared_error_acc_into(a, b, 1.0, &mut grad);
+    (value, grad)
 }
 
-/// Fused-scale variant of [`sum_squared_error`]: returns `Σ (a − b)²` and
+/// Summed squared error with a fused scale: returns `Σ (a − b)²` and
 /// **accumulates** `scale · 2(a − b)` into `grad` (which must already have
 /// the same shape). Folding the batch/weight scale into the gradient pass
 /// avoids materializing the intermediate gradient tensor in the trainer.
@@ -93,37 +90,21 @@ fn clamp_p(p: f32) -> f32 {
 ///
 /// `bce_scalar_label(p, 1.0)` is the `−log D(·)` generator objective;
 /// `bce_scalar_label(p, 0.0)` is the `−log(1 − D(·))` discriminator term
-/// for generated samples.
+/// for generated samples. An allocating wrapper over
+/// [`bce_scalar_label_into`] with unit scale.
 ///
 /// # Panics
 ///
 /// Panics unless `label` is exactly 0 or 1.
 pub fn bce_scalar_label(p: &Tensor, label: f32) -> (f64, Tensor) {
-    assert!(label == 0.0 || label == 1.0, "label must be 0 or 1");
-    let n = p.len() as f64;
-    let mut value = 0.0f64;
-    let grad: Vec<f32> = p
-        .as_slice()
-        .iter()
-        .map(|&raw| {
-            let pc = clamp_p(raw);
-            if label == 1.0 {
-                value += -(pc as f64).ln();
-                -1.0 / (pc * n as f32)
-            } else {
-                value += -((1.0 - pc) as f64).ln();
-                1.0 / ((1.0 - pc) * n as f32)
-            }
-        })
-        .collect();
-    guard::check_finite_scalar("bce loss", value / n);
-    (value / n, Tensor::from_vec(p.shape(), grad))
+    let mut grad = Tensor::zeros(&[1]);
+    let value = bce_scalar_label_into(p, label, 1.0, &mut grad);
+    (value, grad)
 }
 
-/// Fused-scale variant of [`bce_scalar_label`]: writes `scale · ∂BCE/∂p`
-/// into `grad` (resized to match `p`) and returns the mean BCE value. The
-/// per-element gradient is computed exactly as in the allocating version and
-/// then multiplied by `scale`, so `scale = 1` reproduces it bit for bit.
+/// Binary cross-entropy with a fused scale: writes `scale · ∂BCE/∂p` into
+/// `grad` (resized to match `p`) and returns the mean BCE value (see
+/// [`bce_scalar_label`]).
 ///
 /// # Panics
 ///

@@ -1,7 +1,6 @@
 //! Dense `f32` tensors with NCHW conventions.
 
 use crate::pool;
-use serde::{Deserialize, Serialize};
 
 /// Minimum element count before an element-wise op is split across the
 /// worker pool; below this the thread hand-off costs more than it saves.
@@ -18,7 +17,7 @@ const PAR_ELEMWISE_MIN: usize = 1 << 16;
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.at(&[1, 2]), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -268,40 +267,9 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
 
-    /// Concatenates tensors along the channel axis (dim 1) — used to build
-    /// the `(Z_t, M)` pair input of the GAN-OPC discriminator.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all tensors are 4-D and agree on `N, H, W`.
-    pub fn concat_channels(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat of zero tensors");
-        let (n, _, h, w) = parts[0].dims4();
-        let total_c: usize = parts
-            .iter()
-            .map(|p| {
-                let (pn, pc, ph, pw) = p.dims4();
-                assert_eq!((pn, ph, pw), (n, h, w), "concat dims mismatch");
-                pc
-            })
-            .sum();
-        let mut out = Tensor::zeros(&[n, total_c, h, w]);
-        let plane = h * w;
-        for ni in 0..n {
-            let mut c0 = 0usize;
-            for p in parts {
-                let pc = p.shape()[1];
-                let src = &p.data[ni * pc * plane..(ni + 1) * pc * plane];
-                let dst_start = (ni * total_c + c0) * plane;
-                out.data[dst_start..dst_start + pc * plane].copy_from_slice(src);
-                c0 += pc;
-            }
-        }
-        out
-    }
-
-    /// Buffer-reusing variant of [`Tensor::concat_channels`]: writes the
-    /// channel concatenation into `self`, resizing it in place.
+    /// Concatenates tensors along the channel axis (dim 1) into `self`,
+    /// resizing it in place — builds the `(Z_t, M)` pair input of the
+    /// GAN-OPC discriminator.
     ///
     /// # Panics
     ///
@@ -333,8 +301,8 @@ impl Tensor {
     }
 
     /// Copies channels `[c0, c0 + count)` of a 4-D tensor into `out`
-    /// (resized in place) — the buffer-reusing, single-group counterpart of
-    /// [`Tensor::split_channels`].
+    /// (resized in place) — the inverse of
+    /// [`Tensor::concat_channels_into`] for one channel group.
     ///
     /// # Panics
     ///
@@ -350,32 +318,6 @@ impl Tensor {
             out.data[dst_start..dst_start + count * plane]
                 .copy_from_slice(&self.data[src_start..src_start + count * plane]);
         }
-    }
-
-    /// Splits a 4-D tensor back into channel groups of the given sizes —
-    /// the inverse of [`Tensor::concat_channels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sizes do not sum to the channel count.
-    pub fn split_channels(&self, sizes: &[usize]) -> Vec<Tensor> {
-        let (n, c, h, w) = self.dims4();
-        assert_eq!(sizes.iter().sum::<usize>(), c, "split sizes must cover all channels");
-        let plane = h * w;
-        let mut out = Vec::with_capacity(sizes.len());
-        let mut c0 = 0usize;
-        for &sc in sizes {
-            let mut part = Tensor::zeros(&[n, sc, h, w]);
-            for ni in 0..n {
-                let src_start = (ni * c + c0) * plane;
-                let dst_start = ni * sc * plane;
-                part.data[dst_start..dst_start + sc * plane]
-                    .copy_from_slice(&self.data[src_start..src_start + sc * plane]);
-            }
-            out.push(part);
-            c0 += sc;
-        }
-        out
     }
 }
 
@@ -493,16 +435,19 @@ mod tests {
     fn concat_and_split_roundtrip() {
         let a = Tensor::from_vec(&[2, 1, 2, 2], (0..8).map(|i| i as f32).collect());
         let b = Tensor::from_vec(&[2, 2, 2, 2], (100..116).map(|i| i as f32).collect());
-        let cat = Tensor::concat_channels(&[&a, &b]);
+        let mut cat = Tensor::zeros(&[1]);
+        cat.concat_channels_into(&[&a, &b]);
         assert_eq!(cat.shape(), &[2, 3, 2, 2]);
         // Batch 0 channel 0 comes from a, channels 1-2 from b.
         assert_eq!(cat.at(&[0, 0, 0, 0]), 0.0);
         assert_eq!(cat.at(&[0, 1, 0, 0]), 100.0);
         assert_eq!(cat.at(&[1, 0, 0, 0]), 4.0);
         assert_eq!(cat.at(&[1, 2, 1, 1]), 115.0);
-        let parts = cat.split_channels(&[1, 2]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+        let mut part = Tensor::zeros(&[1]);
+        cat.extract_channels_into(0, 1, &mut part);
+        assert_eq!(part, a);
+        cat.extract_channels_into(1, 2, &mut part);
+        assert_eq!(part, b);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `set_max_threads` override and deliberately panic inside pool jobs;
 //! neither should interleave with the library's unit tests.
 
-use ganopc_nn::pool;
+use ganopc_nn::pool::{self, DisjointMut};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,14 +26,18 @@ fn workers_persist_across_dispatches() {
     let ids: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
     let caller = std::thread::current().id();
     for _ in 0..10 {
-        // Enough jobs that every worker has work waiting when it wakes.
-        let jobs: Vec<usize> = (0..64).collect();
-        let out = pool::run(jobs, |j| {
+        let mut out = vec![0usize; 64];
+        let view = DisjointMut::new(&mut out);
+        pool::run_chunks(64, |range| {
             let id = std::thread::current().id();
             if id != caller {
                 ids.lock().unwrap().insert(id);
             }
-            j * 2
+            for j in range {
+                // SAFETY: run_chunks ranges partition 0..64, so slot j
+                // belongs to this chunk alone.
+                unsafe { *view.index_mut(j) = j * 2 };
+            }
         });
         assert_eq!(out, (0..64).map(|j| j * 2).collect::<Vec<_>>());
     }
@@ -58,16 +62,26 @@ fn panicking_job_does_not_poison_the_crew() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     pool::set_max_threads(Some(4));
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        pool::run((0..16).collect::<Vec<usize>>(), |j| {
-            assert!(j != 9, "job nine exploded");
-            j + 1
+        pool::run_chunks(16, |range| {
+            for j in range {
+                assert!(j != 9, "job nine exploded");
+            }
         })
     }));
-    assert!(caught.is_err(), "panic in a pool job must reach the caller");
+    let payload = caught.expect_err("panic in a pool job must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"job nine exploded"));
 
     // The crew must still be fully functional afterwards.
     for _ in 0..3 {
-        let out = pool::run((0..32).collect::<Vec<usize>>(), |j| j * 3);
+        let mut out = vec![0usize; 32];
+        let view = DisjointMut::new(&mut out);
+        pool::run_chunks(32, |range| {
+            for j in range {
+                // SAFETY: run_chunks ranges partition 0..32, so slot j
+                // belongs to this chunk alone.
+                unsafe { *view.index_mut(j) = j * 3 };
+            }
+        });
         assert_eq!(out, (0..32).map(|j| j * 3).collect::<Vec<_>>());
         let hits = AtomicUsize::new(0);
         pool::run_chunks(33, |r| {

@@ -1,11 +1,10 @@
 //! Regression test for the dispatch chunk-count cap.
 //!
-//! The crew's claim word packs the chunk cursor into its low byte and the
-//! completed/skipped bookkeeping lives in `u64` bitmaps, so a dispatch is
-//! hard-capped at exactly `MAX_CHUNKS = 64` chunks. This test pins the cap
-//! boundary: a dispatch at exactly 64 chunks must claim and execute every
-//! chunk exactly once (bit 63 of the bitmaps included), and job counts far
-//! above the cap must still partition exactly.
+//! The crew's claim word packs the chunk cursor into its low byte, so a
+//! dispatch is hard-capped at exactly `MAX_CHUNKS = 64` chunks. This test
+//! pins the cap boundary: a dispatch at exactly 64 chunks must claim and
+//! execute every chunk exactly once (the last cursor value included), and
+//! job counts far above the cap must still partition exactly.
 //!
 //! Lives in its own integration-test binary because it overrides the
 //! process-wide thread cap via `set_max_threads`, which would race the pool
@@ -16,8 +15,8 @@ use ganopc_nn::pool::{self, DisjointMut};
 #[test]
 fn dispatch_at_exactly_64_chunks_covers_every_range_once() {
     // Ask for one chunk per job at the cap: plan_threads(64) == 64 when the
-    // thread cap allows it, which exercises the full width of the claim
-    // cursor and both bitmap extremes (bit 0 and bit 63).
+    // thread cap allows it, which exercises the claim cursor from 0 up to
+    // its last value, 63.
     pool::set_max_threads(Some(64));
     let mut visits = vec![0u32; 64];
     {

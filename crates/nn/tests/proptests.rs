@@ -1,8 +1,8 @@
 //! Property-based tests for the neural-network substrate.
 
 use ganopc_nn::layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Flatten, Layer, LeakyRelu, Linear, Relu,
-    Sequential, Sigmoid,
+    AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Dropout, Flatten, Layer, LeakyRelu, Linear,
+    Relu, Sequential, Sigmoid, Tanh,
 };
 use ganopc_nn::{checkpoint, loss, Tensor};
 use proptest::prelude::*;
@@ -148,11 +148,12 @@ proptest! {
         prop_assert_eq!(g.shape(), x.shape());
     }
 
-    /// The persistent-buffer execution paths (`forward_into`,
-    /// `backward_into`, `backward_discard`) are bit-identical to the
-    /// allocating reference path on a stack covering every fused kernel
-    /// family: conv, batchnorm, activations (in-place), pooling, flatten
-    /// (zero-copy reshape) and linear.
+    /// The allocating `forward`/`backward` wrappers and the
+    /// persistent-buffer paths (`forward_into`, `backward_into`,
+    /// `backward_discard`) are bit-identical on a stack holding every layer
+    /// type: conv, transposed conv, batchnorm, every activation (in place),
+    /// train-mode dropout (in place), pooling, flatten (zero-copy reshape)
+    /// and linear.
     #[test]
     fn into_paths_match_allocating_paths(x in tensor4(2, 1, 8, 8), g_scale in 0.5f32..1.5) {
         let build = || {
@@ -160,9 +161,13 @@ proptest! {
             net.push(Conv2d::new(1, 4, 3, 1, 1, 21));
             net.push(BatchNorm2d::new(4));
             net.push(LeakyRelu::new(0.2));
-            net.push(AvgPool2d::new(2));
+            net.push(ConvTranspose2d::new(4, 2, 4, 2, 1, 23));
+            net.push(Relu::new());
+            net.push(Dropout::new(0.3, 24));
+            net.push(AvgPool2d::new(4));
+            net.push(Tanh::new());
             net.push(Flatten::new());
-            net.push(Linear::new(4 * 4 * 4, 3, 22));
+            net.push(Linear::new(2 * 4 * 4, 3, 22));
             net.push(Sigmoid::new());
             net
         };

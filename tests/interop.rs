@@ -111,6 +111,8 @@ fn generator_checkpoint_file_roundtrip() {
     let x = gan_opc::nn::init::uniform(&[2, 1, 32, 32], 0.0, 1.0, 5);
     let _ = original.forward(&x, true);
     original.save(&path).unwrap();
+    // The file is the v2 container: magic, then version 2.
+    assert_eq!(std::fs::read(&path).unwrap()[8..12], 2u32.to_le_bytes());
 
     let mut restored = Generator::new(32, 4, 123);
     restored.load(&path).unwrap();
@@ -119,6 +121,26 @@ fn generator_checkpoint_file_roundtrip() {
     // Mismatched architectures are rejected.
     let mut wrong = Generator::new(16, 4, 0);
     assert!(wrong.load(&path).is_err());
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn v1_generator_file_loads() {
+    // Generator files from the older v1 writer (a bare tensor list) still
+    // load: the reader files their tensors under the "params" section.
+    let dir = std::env::temp_dir().join("ganopc-interop-ckpt-v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("gen-v1.ckpt");
+
+    let mut original = Generator::new(32, 4, 78);
+    let x = gan_opc::nn::init::uniform(&[2, 1, 32, 32], 0.0, 1.0, 6);
+    let _ = original.forward(&x, true);
+    let v1 = gan_opc::nn::checkpoint::to_bytes(&original.export_params());
+    std::fs::write(&path, v1).unwrap();
+
+    let mut restored = Generator::new(32, 4, 124);
+    restored.load(&path).unwrap();
+    assert_eq!(restored.forward(&x, false), original.forward(&x, false));
     std::fs::remove_file(&path).unwrap();
 }
 
