@@ -34,7 +34,6 @@ fn bench_gradient(c: &mut Criterion) {
     let target = cross(128);
     let mut group = c.benchmark_group("litho_gradient");
     group.sample_size(10);
-    group.bench_function("eq14_128", |b| b.iter(|| model.gradient(&mask, &target).unwrap()));
     let mut grad = vec![0.0f32; 128 * 128];
     group.bench_function("eq14_into_128", |b| {
         b.iter(|| model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap())

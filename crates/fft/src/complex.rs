@@ -1,7 +1,7 @@
 //! Single-precision complex arithmetic.
 
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A single-precision complex number `re + i·im`.
 ///
@@ -74,12 +74,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase angle) in radians.
-    #[inline]
-    pub fn arg(self) -> f32 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplies by a real scalar.
     #[inline]
     pub fn scale(self, s: f32) -> Self {
@@ -137,13 +131,6 @@ impl Mul for Complex {
     #[inline]
     fn mul(self, rhs: Complex) -> Complex {
         Complex { re: self.re * rhs.re - self.im * rhs.im, im: self.re * rhs.im + self.im * rhs.re }
-    }
-}
-
-impl MulAssign for Complex {
-    #[inline]
-    fn mul_assign(&mut self, rhs: Complex) {
-        *self = *self * rhs;
     }
 }
 
@@ -251,11 +238,7 @@ mod tests {
             let theta = k as f32 * std::f32::consts::PI / 8.0;
             let c = Complex::cis(theta);
             assert!((c.abs() - 1.0).abs() < 1e-6);
-            assert!(
-                (c.arg() - theta).rem_euclid(2.0 * std::f32::consts::PI) < 1e-4
-                    || (c.arg() - theta).rem_euclid(2.0 * std::f32::consts::PI)
-                        > 2.0 * std::f32::consts::PI - 1e-4
-            );
+            assert!(close(c, Complex::new(theta.cos(), theta.sin())));
         }
     }
 

@@ -156,7 +156,7 @@ impl Fft1d {
 
     /// Transforms a buffer whose length is known to match the plan.
     ///
-    /// Used by [`crate::Fft2d`] and [`crate::RealFft2d`] on internal rows
+    /// Used by [`crate::RealFft2d`] on internal rows and columns
     /// where the length invariant is maintained structurally.
     // lint: hot-path
     pub(crate) fn transform_unchecked(&self, data: &mut [Complex], dir: Direction) {

@@ -3,36 +3,49 @@
 //! Every optical computation in the workspace — Hopkins/SOCS aerial images
 //! ([`ganopc-litho`]), inverse-lithography gradients ([`ganopc-ilt`]) and the
 //! lithography-guided pre-training of the GAN generator — reduces to cyclic
-//! convolutions of a mask field with a set of optical kernels. This crate
-//! provides the minimal, dependency-free machinery for those convolutions:
+//! convolutions of a real mask field with a set of optical kernels. This
+//! crate provides the minimal, dependency-free machinery for those
+//! convolutions:
 //!
 //! * [`Complex`] — a `#[repr(C)]` single-precision complex number with the
 //!   usual arithmetic;
 //! * [`Fft1d`] — a planned, iterative mixed radix-4/radix-2 Cooley–Tukey
 //!   transform for power-of-two lengths, with direction-specific twiddle
 //!   tables and a precomputed digit-reversal swap program;
-//! * [`Fft2d`] — a row–column 2-D transform built on [`Fft1d`], running the
-//!   column pass through cache-blocked transposes;
 //! * [`RealFft2d`] — the real-input 2-D transform over the packed Hermitian
-//!   `h × (w/2+1)` half-spectrum that carries the litho hot path;
+//!   `h × (w/2+1)` half-spectrum, built on [`Fft1d`] with cache-blocked
+//!   transposes for the column pass; it carries the whole litho hot path;
 //! * [`Arena`] — a shared freelist of frame-sized scratch buffers so
 //!   steady-state convolutions allocate nothing;
-//! * [`spectrum`] helpers — frequency-domain products, half-spectrum kernel
-//!   storage and centered kernel embedding used by the convolution pipelines
-//!   upstream.
+//! * [`spectrum`] helpers — half-spectrum products and the kernel spectra
+//!   ([`spectrum::KernelSpectrum`]) the convolution pipelines upstream run.
 //!
 //! # Example
 //!
+//! A cyclic convolution with a centered kernel, the sequence the litho
+//! model runs per SOCS kernel: forward transform, spectral product,
+//! inverse transform.
+//!
 //! ```
-//! use ganopc_fft::{Complex, Fft2d, Direction};
+//! use ganopc_fft::spectrum::{mul_into, KernelSpectrum};
+//! use ganopc_fft::{Complex, RealFft2d};
 //!
 //! # fn main() -> Result<(), ganopc_fft::FftError> {
-//! let fft = Fft2d::new(8, 8)?;
-//! let mut data = vec![Complex::ZERO; 64];
-//! data[0] = Complex::new(1.0, 0.0); // unit impulse
-//! fft.transform(&mut data, Direction::Forward)?;
-//! // The spectrum of an impulse is flat.
-//! assert!(data.iter().all(|c| (c.re - 1.0).abs() < 1e-6 && c.im.abs() < 1e-6));
+//! let plan = RealFft2d::new(8, 8)?;
+//! let mut taps = vec![Complex::ZERO; 9];
+//! taps[4] = Complex::from_real(2.0); // center tap of a 3×3 kernel
+//! let kernel = KernelSpectrum::new(&taps, 3, 8, 8)?;
+//!
+//! let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).sin()).collect();
+//! let mut spectrum = vec![Complex::ZERO; plan.spectrum_len()];
+//! let mut scratch = Vec::new();
+//! plan.forward(&field, &mut spectrum, &mut scratch)?;
+//! let mut product = vec![Complex::ZERO; plan.spectrum_len()];
+//! mul_into(&mut product, &spectrum, kernel.re_spectrum().unwrap());
+//! let mut out = vec![0.0f32; 64];
+//! plan.inverse(&mut product, &mut out, &mut scratch)?;
+//! // A scaled center tap scales the field.
+//! assert!(out.iter().zip(&field).all(|(o, f)| (o - 2.0 * f).abs() < 1e-4));
 //! # Ok(())
 //! # }
 //! ```
@@ -44,14 +57,12 @@
 mod arena;
 mod complex;
 mod fft1d;
-mod fft2d;
 mod rfft;
 pub mod spectrum;
 
 pub use arena::Arena;
 pub use complex::Complex;
 pub use fft1d::Fft1d;
-pub use fft2d::Fft2d;
 pub use rfft::RealFft2d;
 
 use std::error::Error;
@@ -108,15 +119,4 @@ impl Error for FftError {}
 #[inline]
 pub fn is_power_of_two(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
-}
-
-/// Smallest power of two `>= n` (`n` must be nonzero and representable).
-///
-/// ```
-/// assert_eq!(ganopc_fft::next_power_of_two(100), 128);
-/// assert_eq!(ganopc_fft::next_power_of_two(128), 128);
-/// ```
-#[inline]
-pub fn next_power_of_two(n: usize) -> usize {
-    n.next_power_of_two()
 }

@@ -13,33 +13,7 @@
 //! that vanish (at nominal focus most SOCS kernels are near-pure real or
 //! near-pure imaginary) are dropped, halving both storage and work.
 
-use crate::{Complex, Direction, Fft2d, FftError, RealFft2d};
-
-/// Multiplies two spectra element-wise into `a` (`a[i] *= b[i]`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_assign(a: &mut [Complex], b: &[Complex]) {
-    assert_eq!(a.len(), b.len(), "spectrum length mismatch");
-    for (x, y) in a.iter_mut().zip(b) {
-        *x *= *y;
-    }
-}
-
-/// Multiplies `a` element-wise by the conjugate of `b` (`a[i] *= conj(b[i])`),
-/// the frequency-domain form of cyclic *correlation* used in the ILT
-/// gradient (Eq. (14) of the paper, the `⊗ H*` terms).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_conj_assign(a: &mut [Complex], b: &[Complex]) {
-    assert_eq!(a.len(), b.len(), "spectrum length mismatch");
-    for (x, y) in a.iter_mut().zip(b) {
-        *x *= y.conj();
-    }
-}
+use crate::{Complex, FftError, RealFft2d};
 
 /// Element-wise product into a separate output: `out[i] = a[i] * b[i]`.
 ///
@@ -86,33 +60,6 @@ pub fn mul_conj_add_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
     }
 }
 
-/// Expands a packed `height × (width/2+1)` half-spectrum of a real field to
-/// the full `height × width` spectrum via Hermitian symmetry
-/// `X[ky, kx] = conj(X[(h-ky)%h, (w-kx)%w])`.
-///
-/// Reference path for tests and the complex-field convolution helper; the
-/// hot paths never expand.
-///
-/// # Panics
-///
-/// Panics if `half.len() != height * (width/2 + 1)`.
-pub fn expand_half(height: usize, width: usize, half: &[Complex]) -> Vec<Complex> {
-    let hw = width / 2 + 1;
-    assert_eq!(half.len(), height * hw, "half-spectrum length mismatch");
-    let mut full = vec![Complex::ZERO; height * width];
-    for ky in 0..height {
-        for kx in 0..hw {
-            full[ky * width + kx] = half[ky * hw + kx];
-        }
-        for kx in hw..width {
-            let sy = (height - ky) % height;
-            let sx = width - kx;
-            full[ky * width + kx] = half[sy * hw + sx].conj();
-        }
-    }
-    full
-}
-
 /// Embeds a small centered kernel into a `height × width` frame so that the
 /// kernel origin (its center tap) lands at index `(0, 0)` with cyclic
 /// wrap-around — the layout required for FFT convolution to act as a
@@ -125,7 +72,7 @@ pub fn expand_half(height: usize, width: usize, half: &[Complex]) -> Vec<Complex
 ///
 /// Panics if `kernel.len() != ksize * ksize`, if `ksize` is even, or if the
 /// kernel does not fit in the frame.
-pub fn embed_centered_kernel(
+fn embed_centered_kernel(
     kernel: &[Complex],
     ksize: usize,
     height: usize,
@@ -164,9 +111,6 @@ const COMPONENT_DROP_RATIO: f32 = 1e-6;
 /// traffic, and half of everything when a component is absent.
 #[derive(Debug, Clone)]
 pub struct KernelSpectrum {
-    height: usize,
-    width: usize,
-    half_width: usize,
     re: Option<Vec<Complex>>,
     im: Option<Vec<Complex>>,
 }
@@ -182,7 +126,8 @@ impl KernelSpectrum {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`embed_centered_kernel`].
+    /// Panics if `kernel.len() != ksize * ksize`, if `ksize` is even, or if
+    /// the kernel does not fit in the frame.
     pub fn new(
         kernel: &[Complex],
         ksize: usize,
@@ -206,26 +151,7 @@ impl KernelSpectrum {
             };
         let re = component(|c| c.re)?;
         let im = component(|c| c.im)?;
-        Ok(KernelSpectrum { height, width, half_width: plan.half_width(), re, im })
-    }
-
-    /// Frame height.
-    #[inline]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Frame width (of the real domain; the stored spectra have
-    /// [`KernelSpectrum::half_width`] columns).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Stored spectrum columns per row, `width/2 + 1`.
-    #[inline]
-    pub fn half_width(&self) -> usize {
-        self.half_width
+        Ok(KernelSpectrum { re, im })
     }
 
     /// Half-spectrum of the kernel's real component, if nonzero.
@@ -239,119 +165,6 @@ impl KernelSpectrum {
     pub fn im_spectrum(&self) -> Option<&[Complex]> {
         self.im.as_deref()
     }
-
-    /// Reconstructs the full `height × width` complex spectrum
-    /// `H = R + i·I` (reference/test path; allocates).
-    pub fn full_spectrum(&self) -> Vec<Complex> {
-        let mut full = vec![Complex::ZERO; self.height * self.width];
-        if let Some(re) = &self.re {
-            for (f, r) in full.iter_mut().zip(expand_half(self.height, self.width, re)) {
-                *f += r;
-            }
-        }
-        if let Some(im) = &self.im {
-            for (f, i) in full.iter_mut().zip(expand_half(self.height, self.width, im)) {
-                *f += Complex::I * i;
-            }
-        }
-        full
-    }
-
-    /// Sum of `|H|²` over the full spectrum — useful for energy diagnostics.
-    ///
-    /// Computed from the half-spectra: the Hermitian cross term between the
-    /// component spectra cancels over the full grid, so `Σ|H|² = Σ|R|² +
-    /// Σ|I|²`, with interior half-spectrum columns counted twice for their
-    /// mirrored twins.
-    pub fn energy(&self) -> f32 {
-        let hw = self.half_width;
-        let nyquist = self.width / 2;
-        let mut total = 0.0f32;
-        for half in [&self.re, &self.im].into_iter().flatten() {
-            for row in half.chunks_exact(hw) {
-                for (kx, c) in row.iter().enumerate() {
-                    let weight = if kx == 0 || kx == nyquist { 1.0 } else { 2.0 };
-                    total += weight * c.norm_sqr();
-                }
-            }
-        }
-        total
-    }
-}
-
-/// Cyclically convolves a real field with a precomputed kernel spectrum,
-/// returning the (complex) filtered field `M ⊗ h`.
-///
-/// This is the building block of the SOCS aerial-image model
-/// `I = Σ_k w_k |M ⊗ h_k|²`. It is the reference implementation: the litho
-/// model inlines the same math against arena-owned buffers.
-///
-/// # Errors
-///
-/// Returns [`FftError::SizeMismatch`] if `field.len()` or the kernel frame
-/// does not match the plan.
-pub fn convolve_real(
-    plan: &RealFft2d,
-    field: &[f32],
-    kernel: &KernelSpectrum,
-) -> Result<Vec<Complex>, FftError> {
-    if kernel.height != plan.height() || kernel.width != plan.width() {
-        return Err(FftError::SizeMismatch {
-            expected: plan.real_len(),
-            actual: kernel.height * kernel.width,
-        });
-    }
-    let mut scratch = Vec::new();
-    let mut mask_half = vec![Complex::ZERO; plan.spectrum_len()];
-    plan.forward(field, &mut mask_half, &mut scratch)?;
-    let mut out = vec![Complex::ZERO; plan.real_len()];
-    let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
-    let mut real = vec![0.0f32; plan.real_len()];
-    if let Some(re) = kernel.re_spectrum() {
-        mul_into(&mut prod, &mask_half, re);
-        plan.inverse(&mut prod, &mut real, &mut scratch)?;
-        for (o, &p) in out.iter_mut().zip(&real) {
-            o.re = p;
-        }
-    }
-    if let Some(im) = kernel.im_spectrum() {
-        mul_into(&mut prod, &mask_half, im);
-        plan.inverse(&mut prod, &mut real, &mut scratch)?;
-        for (o, &q) in out.iter_mut().zip(&real) {
-            o.im = q;
-        }
-    }
-    Ok(out)
-}
-
-/// Cyclically convolves a *complex* field: `out = IFFT(FFT(field) ⊙ K)`
-/// where `K` is conjugated when `conjugate_kernel` is set (turning
-/// convolution into correlation). Expands the kernel's half-spectra to the
-/// full grid — a reference/test path, not used by the litho hot loop.
-///
-/// # Errors
-///
-/// Returns [`FftError::SizeMismatch`] on any dimension disagreement.
-pub fn convolve_complex(
-    plan: &Fft2d,
-    field: &[Complex],
-    kernel: &KernelSpectrum,
-    conjugate_kernel: bool,
-) -> Result<Vec<Complex>, FftError> {
-    let n = kernel.height * kernel.width;
-    if field.len() != n || plan.len() != n {
-        return Err(FftError::SizeMismatch { expected: n, actual: field.len() });
-    }
-    let full = kernel.full_spectrum();
-    let mut spec = field.to_vec();
-    plan.transform(&mut spec, Direction::Forward)?;
-    if conjugate_kernel {
-        mul_conj_assign(&mut spec, &full);
-    } else {
-        mul_assign(&mut spec, &full);
-    }
-    plan.transform(&mut spec, Direction::Inverse)?;
-    Ok(spec)
 }
 
 #[cfg(test)]
@@ -385,6 +198,26 @@ mod tests {
         out
     }
 
+    /// Filters a real field with one kernel component the way the litho
+    /// model does: forward transform, spectral product (`product` is
+    /// [`mul_into`] for convolution, [`mul_conj_into`] for correlation),
+    /// inverse transform.
+    fn filter(
+        plan: &RealFft2d,
+        field: &[f32],
+        component: &[Complex],
+        product: fn(&mut [Complex], &[Complex], &[Complex]),
+    ) -> Vec<f32> {
+        let mut scratch = Vec::new();
+        let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
+        plan.forward(field, &mut spec, &mut scratch).unwrap();
+        let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
+        product(&mut prod, &spec, component);
+        let mut out = vec![0.0f32; plan.real_len()];
+        plan.inverse(&mut prod, &mut out, &mut scratch).unwrap();
+        out
+    }
+
     #[test]
     fn identity_kernel_is_noop() {
         let (h, w) = (8, 8);
@@ -394,13 +227,12 @@ mod tests {
             k
         };
         let spec = KernelSpectrum::new(&kernel, 3, h, w).unwrap();
-        assert!(spec.re_spectrum().is_some());
         assert!(spec.im_spectrum().is_none(), "real kernel must drop its imaginary half");
         let plan = RealFft2d::new(h, w).unwrap();
         let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.2).sin()).collect();
-        let out = convolve_real(&plan, &field, &spec).unwrap();
+        let out = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_into);
         for (o, f) in out.iter().zip(&field) {
-            assert!((o.re - f).abs() < 1e-4 && o.im.abs() < 1e-4);
+            assert!((o - f).abs() < 1e-4);
         }
     }
 
@@ -414,28 +246,12 @@ mod tests {
         let field: Vec<f32> = (0..h * w).map(|i| ((i * 5 % 11) as f32) / 11.0).collect();
         let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
         let plan = RealFft2d::new(h, w).unwrap();
-        let fast = convolve_real(&plan, &field, &spec).unwrap();
+        let re = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_into);
+        let im = filter(&plan, &field, spec.im_spectrum().unwrap(), mul_into);
         let slow = naive_cyclic_convolve(&field, h, w, &kernel, ksize);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a.re - b.re).abs() < 1e-3, "{a} vs {b}");
-            assert!((a.im - b.im).abs() < 1e-3, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn full_spectrum_matches_complex_fft_of_embedded_kernel() {
-        let (h, w) = (8usize, 16usize);
-        let ksize = 3;
-        let kernel: Vec<Complex> = (0..9)
-            .map(|i| Complex::new((i as f32 * 0.7).cos(), (i as f32 * 0.4).sin() * 0.6))
-            .collect();
-        let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
-        let got = spec.full_spectrum();
-        let plan = Fft2d::new(h, w).unwrap();
-        let mut reference = embed_centered_kernel(&kernel, ksize, h, w);
-        plan.transform(&mut reference, Direction::Forward).unwrap();
-        for (g, r) in got.iter().zip(&reference) {
-            assert!((g.re - r.re).abs() < 1e-3 && (g.im - r.im).abs() < 1e-3, "{g} vs {r}");
+        for ((a_re, a_im), b) in re.iter().zip(&im).zip(&slow) {
+            assert!((a_re - b.re).abs() < 1e-3, "{a_re}+{a_im}i vs {b}");
+            assert!((a_im - b.im).abs() < 1e-3, "{a_re}+{a_im}i vs {b}");
         }
     }
 
@@ -447,19 +263,17 @@ mod tests {
         let mut kernel = vec![Complex::ZERO; 9];
         kernel[0] = Complex::from_real(1.0); // top-left tap of a 3x3 kernel
         let spec = KernelSpectrum::new(&kernel, 3, h, w).unwrap();
-        let plan = Fft2d::new(h, w).unwrap();
-        let mut field = vec![Complex::ZERO; h * w];
-        field[3 * w + 3] = Complex::ONE;
+        let plan = RealFft2d::new(h, w).unwrap();
+        let mut field = vec![0.0f32; h * w];
+        field[3 * w + 3] = 1.0;
 
-        let conv = convolve_complex(&plan, &field, &spec, false).unwrap();
-        let corr = convolve_complex(&plan, &field, &spec, true).unwrap();
+        let re = spec.re_spectrum().unwrap();
+        let conv = filter(&plan, &field, re, mul_into);
+        let corr = filter(&plan, &field, re, mul_conj_into);
         // Convolution shifts the impulse by (-1,-1); correlation by (+1,+1).
-        let peak_at = |v: &[Complex]| {
-            let (idx, _) = v
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
-                .unwrap();
+        let peak_at = |v: &[f32]| {
+            let (idx, _) =
+                v.iter().enumerate().max_by(|a, b| a.1.abs().total_cmp(&b.1.abs())).unwrap();
             (idx / w, idx % w)
         };
         assert_eq!(peak_at(&conv), (2, 2));
@@ -483,64 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn expand_half_reconstructs_full_spectrum() {
-        let (h, w) = (8usize, 8usize);
-        let plan = RealFft2d::new(h, w).unwrap();
-        let full_plan = Fft2d::new(h, w).unwrap();
-        let field: Vec<f32> = (0..h * w).map(|i| ((i * 11 % 17) as f32) / 17.0 - 0.4).collect();
-        let mut half = vec![Complex::ZERO; plan.spectrum_len()];
-        let mut scratch = Vec::new();
-        plan.forward(&field, &mut half, &mut scratch).unwrap();
-        let expanded = expand_half(h, w, &half);
-        let reference = full_plan.forward_real(&field).unwrap();
-        for (a, b) in expanded.iter().zip(&reference) {
-            assert!((a.re - b.re).abs() < 1e-3 && (a.im - b.im).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn mul_conj_assign_conjugates_rhs() {
-        let mut a = vec![Complex::new(1.0, 1.0)];
+    fn mul_conj_into_conjugates_rhs() {
+        let a = vec![Complex::new(1.0, 1.0)];
         let b = vec![Complex::new(0.0, 2.0)];
-        mul_conj_assign(&mut a, &b);
-        // (1+i) * conj(2i) = (1+i)(-2i) = -2i - 2i² = 2 - 2i
-        assert_eq!(a[0], Complex::new(2.0, -2.0));
-    }
-
-    #[test]
-    fn out_of_place_products_match_in_place() {
-        let a: Vec<Complex> =
-            (0..16).map(|i| Complex::new(i as f32 * 0.3, -1.0 + i as f32)).collect();
-        let b: Vec<Complex> =
-            (0..16).map(|i| Complex::new(1.5 - i as f32, i as f32 * 0.2)).collect();
-        let mut out = vec![Complex::ZERO; 16];
-        mul_into(&mut out, &a, &b);
-        let mut reference = a.clone();
-        mul_assign(&mut reference, &b);
-        assert_eq!(out, reference);
-
+        let mut out = vec![Complex::ZERO];
         mul_conj_into(&mut out, &a, &b);
-        let mut reference = a.clone();
-        mul_conj_assign(&mut reference, &b);
-        assert_eq!(out, reference);
-
-        // Accumulating the same product twice doubles it.
+        // (1+i) * conj(2i) = (1+i)(-2i) = -2i - 2i² = 2 - 2i
+        assert_eq!(out[0], Complex::new(2.0, -2.0));
+        // The accumulating form adds the same product on top.
         mul_conj_add_into(&mut out, &a, &b);
-        for (o, r) in out.iter().zip(&reference) {
-            assert!((o.re - 2.0 * r.re).abs() < 1e-4 && (o.im - 2.0 * r.im).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn kernel_spectrum_energy_positive() {
-        let kernel = vec![Complex::from_real(0.5); 9];
-        let spec = KernelSpectrum::new(&kernel, 3, 16, 16).unwrap();
-        assert!(spec.energy() > 0.0);
-        assert_eq!(spec.height(), 16);
-        assert_eq!(spec.width(), 16);
-        assert_eq!(spec.half_width(), 9);
-        // Energy computed from the packed form must match the full spectrum.
-        let full: f32 = spec.full_spectrum().iter().map(|c| c.norm_sqr()).sum();
-        assert!((spec.energy() - full).abs() < 1e-2 * full.max(1.0));
+        assert_eq!(out[0], Complex::new(4.0, -4.0));
     }
 }

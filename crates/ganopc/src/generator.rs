@@ -164,11 +164,6 @@ impl Generator {
         self.net.export_params()
     }
 
-    /// Writes a weight snapshot into `out`, reusing its allocations.
-    pub fn export_params_into(&mut self, out: &mut Vec<Tensor>) {
-        self.net.export_params_into(out);
-    }
-
     /// Restores a snapshot.
     ///
     /// # Errors

@@ -1,9 +1,8 @@
 //! Bounded on-disk checkpoint ring: the supervisor's rollback store.
 //!
 //! A ring directory holds the last `K` training checkpoints as
-//! `ring-<step:08>.ckpt` plus an optional `best.ckpt` (the best-validation
-//! state, exempt from rotation). Pushing beyond capacity deletes the
-//! oldest entry, so disk usage is bounded no matter how long a run lives.
+//! `ring-<step:08>.ckpt`. Pushing beyond capacity deletes the oldest
+//! entry, so disk usage is bounded no matter how long a run lives.
 //!
 //! Every file goes through the atomic writer, so a crash mid-push leaves
 //! the previous ring intact; [`CheckpointRing::open`] additionally sweeps
@@ -21,8 +20,6 @@ use std::path::{Path, PathBuf};
 const RING_PREFIX: &str = "ring-";
 /// File-name suffix of every checkpoint the ring manages.
 const RING_SUFFIX: &str = ".ckpt";
-/// Name of the rotation-exempt best-validation checkpoint.
-const BEST_NAME: &str = "best.ckpt";
 
 /// A bounded ring of training checkpoints in one directory.
 #[derive(Debug)]
@@ -86,11 +83,6 @@ impl CheckpointRing {
         self.dir.join(format!("{RING_PREFIX}{step:08}{RING_SUFFIX}"))
     }
 
-    /// Path of the rotation-exempt best checkpoint.
-    pub fn best_path(&self) -> PathBuf {
-        self.dir.join(BEST_NAME)
-    }
-
     /// Atomically writes `ck` as the ring entry for `step`, rotating out
     /// the oldest entry beyond capacity. Pushing an already-present step
     /// overwrites that entry in place.
@@ -109,17 +101,6 @@ impl CheckpointRing {
             self.entries.sort_unstable_by_key(|&(s, _)| s);
         }
         self.prune();
-        Ok(path)
-    }
-
-    /// Atomically writes `ck` as `best.ckpt` (never rotated out).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write failure; a previous best survives it.
-    pub fn save_best(&self, ck: &Checkpoint) -> Result<PathBuf, GanOpcError> {
-        let path = self.best_path();
-        ck.save(&path)?;
         Ok(path)
     }
 
@@ -204,20 +185,6 @@ mod tests {
         assert_eq!(step, 1);
         assert_eq!(ck.get_u64("progress/step").unwrap(), 1);
         assert!(!ring.entry_path(2).exists(), "corrupt entry not dropped");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn best_checkpoint_survives_rotation() {
-        let dir = ring_dir("best");
-        let mut ring = CheckpointRing::open(&dir, 1).unwrap();
-        ring.save_best(&ck_with_step(99)).unwrap();
-        for step in 1..=5 {
-            ring.push(step, &ck_with_step(step as u64)).unwrap();
-        }
-        assert_eq!(ring.steps(), vec![5]);
-        let best = Checkpoint::load(ring.best_path()).unwrap();
-        assert_eq!(best.get_u64("progress/step").unwrap(), 99);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

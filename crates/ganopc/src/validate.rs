@@ -59,31 +59,6 @@ pub struct ValidationReport {
     pub litho_error: f64,
 }
 
-impl ValidationReport {
-    /// Stores the report in a checkpoint under `{prefix}/…` sections.
-    pub fn put_into(&self, ck: &mut ganopc_nn::checkpoint::Checkpoint, prefix: &str) {
-        ck.put_u64(&format!("{prefix}/count"), self.count as u64);
-        ck.put_f64(&format!("{prefix}/mask_l2"), self.mask_l2);
-        ck.put_f64(&format!("{prefix}/litho_error"), self.litho_error);
-    }
-
-    /// Reads a report stored by [`ValidationReport::put_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GanOpcError::Checkpoint`] for missing or mistyped sections.
-    pub fn read_from(
-        ck: &ganopc_nn::checkpoint::Checkpoint,
-        prefix: &str,
-    ) -> Result<Self, GanOpcError> {
-        Ok(ValidationReport {
-            count: ck.get_u64(&format!("{prefix}/count"))? as usize,
-            mask_l2: ck.get_f64(&format!("{prefix}/mask_l2"))?,
-            litho_error: ck.get_f64(&format!("{prefix}/litho_error"))?,
-        })
-    }
-}
-
 /// Evaluates a generator on every instance of a dataset (inference mode).
 ///
 /// # Errors

@@ -117,7 +117,6 @@ fn seeded_fault_plans_never_panic_and_artifacts_reload() {
             divergence_window: 4,
             explosion_factor: 4.0,
             lr_backoff: 0.5,
-            stall_patience: 0,
         };
         let mut sup = TrainSupervisor::new(dir.join("ring"), cfg).unwrap();
         let mut trainer =
@@ -264,7 +263,6 @@ fn nan_at_step_k_is_recovered_by_rollback() {
         divergence_window: 4,
         explosion_factor: 1e6,
         lr_backoff: 0.5,
-        stall_patience: 0,
     };
     let mut sup = TrainSupervisor::new(&dir, cfg).unwrap();
     let mut trainer = tiny_trainer(17);
@@ -306,7 +304,6 @@ fn rollback_recovery_is_bit_identical_to_clean_resume() {
         divergence_window: 4,
         explosion_factor: 1e6,
         lr_backoff: 1.0, // recovery must replay the exact same schedule
-        stall_patience: 0,
     };
     let mut sup = TrainSupervisor::new(&dir, cfg).unwrap();
     let mut faulted = tiny_trainer(21);
@@ -356,7 +353,6 @@ fn ring_write_faults_degrade_to_typed_divergence() {
         divergence_window: 4,
         explosion_factor: 1e6,
         lr_backoff: 0.5,
-        stall_patience: 0,
     };
     let mut sup = TrainSupervisor::new(&dir, cfg).unwrap();
     let mut trainer = tiny_trainer(23);

@@ -15,11 +15,18 @@
 //! * `rect x0 y0 x1 y1` — an axis-aligned rectangle;
 //! * `poly x,y x,y ...` — a rectilinear polygon (decomposed into
 //!   rectangles on load).
+//!
+//! Coordinates are integers in nanometers within ±2^30 (about ±1 m), so
+//! every width, height and area the layout derives fits in an `i64`.
 
 use crate::polygon::{Polygon, PolygonError};
 use crate::{Layout, Rect};
 use std::fmt;
 use std::path::Path;
+
+/// Largest coordinate magnitude the reader accepts, nm. Widths and heights
+/// then stay within 2^31 and areas within 2^62.
+const MAX_COORD_NM: i64 = 1 << 30;
 
 /// Errors from parsing the text layout format.
 #[derive(Debug)]
@@ -139,11 +146,8 @@ pub fn parse_layout(text: &str) -> Result<Layout, ParseLayoutError> {
                     let Some((xs, ys)) = pair.split_once(',') else {
                         return Err(syntax(format!("expected x,y pair, got '{pair}'")));
                     };
-                    let x: i64 =
-                        xs.parse().map_err(|_| syntax(format!("invalid coordinate '{xs}'")))?;
-                    let y: i64 =
-                        ys.parse().map_err(|_| syntax(format!("invalid coordinate '{ys}'")))?;
-                    vertices.push((x, y));
+                    vertices
+                        .push((parse_coord(xs).map_err(syntax)?, parse_coord(ys).map_err(syntax)?));
                 }
                 let polygon = Polygon::new(vertices)
                     .map_err(|source| ParseLayoutError::Polygon { line: line_no, source })?;
@@ -156,7 +160,16 @@ pub fn parse_layout(text: &str) -> Result<Layout, ParseLayoutError> {
 }
 
 fn parse_ints(tokens: &[&str]) -> Result<Vec<i64>, String> {
-    tokens.iter().map(|t| t.parse::<i64>().map_err(|_| format!("invalid integer '{t}'"))).collect()
+    tokens.iter().map(|t| parse_coord(t)).collect()
+}
+
+/// Parses one coordinate, rejecting values beyond ±[`MAX_COORD_NM`].
+fn parse_coord(token: &str) -> Result<i64, String> {
+    let value: i64 = token.parse().map_err(|_| format!("invalid coordinate '{token}'"))?;
+    if !(-MAX_COORD_NM..=MAX_COORD_NM).contains(&value) {
+        return Err(format!("coordinate {value} outside ±{MAX_COORD_NM} nm"));
+    }
+    Ok(value)
 }
 
 /// Writes a layout file.
@@ -239,6 +252,32 @@ rect 500 500 580 900
             Err(ParseLayoutError::Polygon { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected polygon error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_coordinates_that_could_overflow() {
+        let limit = MAX_COORD_NM;
+        for hostile in [i64::MIN, i64::MAX, limit + 1, -limit - 1] {
+            let frame = format!("frame {hostile} 0 10 10\n");
+            let rect = format!("frame 0 0 10 10\nrect 0 {hostile} 5 5\n");
+            let poly = format!("frame 0 0 10 10\npoly 0,0 {hostile},0 {hostile},5 0,5\n");
+            for (text, line) in [(frame, 1), (rect, 2), (poly, 2)] {
+                match parse_layout(&text) {
+                    Err(ParseLayoutError::Syntax { line: l, message }) => {
+                        assert_eq!(l, line, "{text}");
+                        assert!(message.contains("outside"), "{message}");
+                    }
+                    other => panic!("{text}: expected a syntax error, got {other:?}"),
+                }
+            }
+        }
+        // The bound itself is accepted, and everything derived from it fits.
+        let text =
+            format!("frame {} {} {limit} {limit}\nrect 0 0 {limit} {limit}\n", -limit, -limit);
+        let clip = parse_layout(&text).unwrap();
+        assert_eq!(clip.frame().area(), 4 * limit * limit);
+        assert_eq!(clip.pattern_area(), limit * limit);
+        assert_eq!(clip.rasterize_raster(4, 4).sum(), 4.0);
     }
 
     #[test]

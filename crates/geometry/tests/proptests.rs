@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use ganopc_geometry::layout::union_area;
-use ganopc_geometry::{drc, ClipSynthesizer, DesignRules, Layout, Rect};
+use ganopc_geometry::{drc, textfmt, ClipSynthesizer, DesignRules, Layout, Rect};
 use proptest::prelude::*;
 
 fn rect() -> impl Strategy<Value = Rect> {
@@ -78,5 +78,96 @@ proptest! {
         let r = ganopc_geometry::raster::Raster::from_vec(8, 8, values);
         let round = r.avg_pool(2).upsample_nearest(2);
         prop_assert!((round.mean() - r.mean()).abs() < 1e-5);
+    }
+}
+
+/// A valid text layout that uses every line kind; the mutation tests below
+/// corrupt it.
+const VALID_LAYOUT: &str = "\
+# mutation seed
+frame 0 0 2048 2048
+rect 100 100 180 700
+rect 300 200 380 1100
+poly 500,500 900,500 900,580 580,580 580,900 500,900
+";
+
+/// Integer spellings a hostile file might carry: the i64 extremes, the
+/// values just past the reader's ±2^30 nm bound, the bound itself, and
+/// tokens that do not fit an i64 at all.
+const HOSTILE_INTEGERS: [&str; 10] = [
+    "-9223372036854775808",
+    "9223372036854775807",
+    "1073741825",
+    "-1073741825",
+    "1073741824",
+    "-1073741824",
+    "0",
+    "-0",
+    "18446744073709551616",
+    "99999999999999999999999999",
+];
+
+/// A mutated layout must either fail with a typed error or parse into a
+/// layout whose area and raster can be computed without panicking.
+fn parses_or_fails_typed(text: &str) {
+    if let Ok(layout) = textfmt::parse_layout(text) {
+        assert!(layout.pattern_area() >= 0, "{text}");
+        let raster = layout.rasterize_raster(64, 64);
+        assert!(raster.as_slice().iter().all(|v| v.is_finite()), "{text}");
+    }
+}
+
+/// Byte ranges of the integer fields in `text` (optional sign, digits).
+fn integer_fields(text: &str) -> Vec<(usize, usize)> {
+    let bytes = text.as_bytes();
+    let mut fields = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        if bytes[i] == b'-' {
+            i += 1;
+        }
+        let digits = i;
+        while i < bytes.len() && bytes[i].is_ascii_digit() {
+            i += 1;
+        }
+        if i > digits {
+            fields.push((start, i));
+        } else {
+            i = start + 1;
+        }
+    }
+    fields
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Truncating a valid layout at any byte offset.
+    #[test]
+    fn truncated_layout_is_typed(cut in 0usize..VALID_LAYOUT.len()) {
+        parses_or_fails_typed(&VALID_LAYOUT[..cut]);
+    }
+
+    /// Flipping one bit of one byte.
+    #[test]
+    fn bit_flipped_layout_is_typed(offset in 0usize..VALID_LAYOUT.len(), bit in 0u32..8) {
+        let mut bytes = VALID_LAYOUT.as_bytes().to_vec();
+        bytes[offset] ^= 1 << bit;
+        parses_or_fails_typed(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Replacing one or two integer fields with hostile values.
+    #[test]
+    fn hostile_integer_fields_are_typed(
+        picks in prop::collection::vec((0usize..64, 0..HOSTILE_INTEGERS.len()), 1..3),
+    ) {
+        let mut text = VALID_LAYOUT.to_string();
+        for (field, value) in picks {
+            let fields = integer_fields(&text);
+            let (start, end) = fields[field % fields.len()];
+            text.replace_range(start..end, HOSTILE_INTEGERS[value]);
+        }
+        parses_or_fails_typed(&text);
     }
 }

@@ -247,11 +247,6 @@ impl IltEngine {
         &self.config
     }
 
-    /// Consumes the engine, returning the model (for reuse elsewhere).
-    pub fn into_model(self) -> LithoModel {
-        self.model
-    }
-
     /// Optimizes a mask for `target`, initializing from the target itself —
     /// the conventional full ILT flow (paper Fig. 1).
     ///

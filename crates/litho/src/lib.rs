@@ -63,7 +63,7 @@ pub mod socs;
 pub mod tcc;
 
 pub use metrics::MaskMetrics;
-pub use model::{GradientResult, LithoModel};
+pub use model::LithoModel;
 pub use optics::OpticalConfig;
 pub use socs::SocsKernels;
 

@@ -129,26 +129,21 @@ impl Default for DefectConfig {
     }
 }
 
-/// Walks every EPE measurement point, calling `visit(a, d_px)` once per
-/// point.
+/// Walks every EPE measurement point, calling `visit(d_px)` once per
+/// point — the sampling pass behind [`epe_violations`].
 ///
-/// This is the single sampling pass shared by [`epe_violations`] and
-/// [`epe_statistics`], so both always agree on which points are measured
-/// and on the displacement found at each. Measurement points sit on every
-/// vertical and horizontal transition of the binary `target`, sampled at
-/// `cfg.epe_sample_step_nm` spacing along the edge; the wafer contour is
-/// located along the edge normal within the violation search range.
-///
-/// `a` is the target polarity on the low-coordinate side of the edge and
-/// `d_px` the *signed* contour displacement in pixels toward increasing
-/// coordinate (`None` when no matching wafer transition exists in range —
-/// the feature failed to print or merged).
+/// Measurement points sit on every vertical and horizontal transition of
+/// the binary `target`, sampled at `cfg.epe_sample_step_nm` spacing along
+/// the edge; the wafer contour is located along the edge normal within the
+/// violation search range. `d_px` is the *signed* contour displacement in
+/// pixels toward increasing coordinate (`None` when no matching wafer
+/// transition exists in range — the feature failed to print or merged).
 fn for_each_epe_sample(
     wafer: &Field,
     target: &Field,
     pixel_nm: f64,
     cfg: &DefectConfig,
-    mut visit: impl FnMut(bool, Option<f64>),
+    mut visit: impl FnMut(Option<f64>),
 ) {
     assert_eq!(wafer.shape(), target.shape(), "epe shape mismatch");
     let (h, w) = target.shape();
@@ -190,7 +185,7 @@ fn for_each_epe_sample(
                     break;
                 }
             }
-            visit(a, found);
+            visit(found);
         }
     }
     // Horizontal edges: transition between rows y and y+1.
@@ -218,7 +213,7 @@ fn for_each_epe_sample(
                     break;
                 }
             }
-            visit(a, found);
+            visit(found);
         }
     }
 }
@@ -229,12 +224,8 @@ fn for_each_epe_sample(
 /// the binary `target`; at each point the wafer contour is located along the
 /// edge normal and the displacement compared against the tolerance. Points
 /// where no contour is found within the search range count as violations
-/// (the feature failed to print or merged).
-///
-/// The tolerance comparison happens in nanometers on `|d_px| * pixel_nm`,
-/// the exact magnitude [`epe_statistics`] stores for the same point, so the
-/// violation count always equals [`EpeStatistics::violations`] at
-/// `cfg.epe_tolerance_nm`.
+/// (the feature failed to print or merged). The tolerance comparison
+/// happens in nanometers on `|d_px| * pixel_nm`.
 ///
 /// Returns `(violations, measurements)`.
 pub fn epe_violations(
@@ -245,7 +236,7 @@ pub fn epe_violations(
 ) -> (usize, usize) {
     let mut violations = 0usize;
     let mut measurements = 0usize;
-    for_each_epe_sample(wafer, target, pixel_nm, cfg, |_a, d_px| {
+    for_each_epe_sample(wafer, target, pixel_nm, cfg, |d_px| {
         measurements += 1;
         match d_px {
             Some(d) if d.abs() * pixel_nm <= cfg.epe_tolerance_nm => {}
@@ -253,99 +244,6 @@ pub fn epe_violations(
         }
     });
     (violations, measurements)
-}
-
-/// Signed EPE distribution over all measurement points.
-///
-/// Where [`epe_violations`] reports a pass/fail count, this collects the
-/// signed displacements themselves (positive = printed contour pulled back
-/// inside the drawn geometry, negative = overprint beyond it), enabling
-/// mean/percentile reporting as production OPC scorecards do. Unmeasurable points (no contour in range) are counted
-/// separately.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpeStatistics {
-    /// Signed EPE samples, nm.
-    pub samples_nm: Vec<f64>,
-    /// Measurement points where no contour was found within range.
-    pub unmeasured: usize,
-}
-
-impl EpeStatistics {
-    /// Number of measured points.
-    pub fn len(&self) -> usize {
-        self.samples_nm.len()
-    }
-
-    /// Returns `true` when nothing was measured.
-    pub fn is_empty(&self) -> bool {
-        self.samples_nm.is_empty()
-    }
-
-    /// Mean signed EPE, nm (0 when empty).
-    pub fn mean_nm(&self) -> f64 {
-        if self.samples_nm.is_empty() {
-            return 0.0;
-        }
-        self.samples_nm.iter().sum::<f64>() / self.samples_nm.len() as f64
-    }
-
-    /// Largest |EPE|, nm (0 when empty).
-    pub fn max_abs_nm(&self) -> f64 {
-        self.samples_nm.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Fraction of measured points with |EPE| above `tolerance_nm`.
-    pub fn violation_fraction(&self, tolerance_nm: f64) -> f64 {
-        if self.samples_nm.is_empty() {
-            return 0.0;
-        }
-        let bad = self.samples_nm.iter().filter(|v| v.abs() > tolerance_nm).count();
-        bad as f64 / self.samples_nm.len() as f64
-    }
-
-    /// Number of measurement points violating `tolerance_nm`: every
-    /// unmeasured point plus every measured point with |EPE| strictly above
-    /// the tolerance.
-    ///
-    /// At the tolerance the distribution was collected with, this equals
-    /// `epe_violations(...).0` exactly — both derive from the same
-    /// edge-sample walk and compare the same `|d_px| * pixel_nm` magnitude
-    /// (the ±1 orientation sign never changes it).
-    pub fn violations(&self, tolerance_nm: f64) -> usize {
-        self.unmeasured + self.samples_nm.iter().filter(|v| v.abs() > tolerance_nm).count()
-    }
-}
-
-/// Collects the signed EPE distribution of a wafer against a target.
-///
-/// Sampling is shared with [`epe_violations`] (both walk the same
-/// edge-sample pass): points along every horizontal and vertical target
-/// edge at `cfg.epe_sample_step_nm` spacing, displacement measured along
-/// the edge normal within the violation search range. Consequently
-/// [`EpeStatistics::violations`] at `cfg.epe_tolerance_nm` reproduces the
-/// [`epe_violations`] count exactly.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn epe_statistics(
-    wafer: &Field,
-    target: &Field,
-    pixel_nm: f64,
-    cfg: &DefectConfig,
-) -> EpeStatistics {
-    let mut stats = EpeStatistics { samples_nm: Vec::new(), unmeasured: 0 };
-    for_each_epe_sample(wafer, target, pixel_nm, cfg, |a, d_px| {
-        // Orient by the edge: material sits on the `+` side when the
-        // low-coordinate sample is off, so a `+` displacement there is
-        // pullback (positive EPE); on a falling edge the sign flips.
-        let sign = if a { -1.0 } else { 1.0 };
-        match d_px {
-            Some(d) => stats.samples_nm.push(sign * d * pixel_nm),
-            None => stats.unmeasured += 1,
-        }
-    });
-    stats
 }
 
 /// Bridge detection (paper Fig. 2, right): a wafer component that connects
@@ -640,104 +538,6 @@ mod tests {
             peak_defocused < peak_nominal,
             "defocus should blur the image: {peak_defocused} vs {peak_nominal}"
         );
-    }
-
-    #[test]
-    fn epe_statistics_of_perfect_print_are_zero() {
-        let target = field_from(&["........", "..####..", "..####..", "..####..", "........"]);
-        let cfg =
-            DefectConfig { epe_tolerance_nm: 2.0, epe_sample_step_nm: 1.0, ..Default::default() };
-        let stats = epe_statistics(&target, &target, 1.0, &cfg);
-        assert!(!stats.is_empty());
-        assert_eq!(stats.unmeasured, 0);
-        assert_eq!(stats.mean_nm(), 0.0);
-        assert_eq!(stats.max_abs_nm(), 0.0);
-        assert_eq!(stats.violation_fraction(0.5), 0.0);
-    }
-
-    #[test]
-    fn epe_statistics_report_signed_shift() {
-        let target = field_from(&["........", "..####..", "..####..", "..####..", "........"]);
-        // Shift right by 1 px: left edge +1 (inward seen from left), right
-        // edge appears displaced by 1 in the opposite sign.
-        let wafer = field_from(&["........", "...####.", "...####.", "...####.", "........"]);
-        let cfg =
-            DefectConfig { epe_tolerance_nm: 3.0, epe_sample_step_nm: 1.0, ..Default::default() };
-        let stats = epe_statistics(&wafer, &target, 1.0, &cfg);
-        assert!(!stats.is_empty());
-        assert_eq!(stats.max_abs_nm(), 1.0);
-        // A pure translation has zero mean signed EPE over opposing edges.
-        assert!(stats.mean_nm().abs() < 0.3, "mean {}", stats.mean_nm());
-        // Only the vertical edges are displaced by a horizontal shift —
-        // half of all measurement points.
-        assert_eq!(stats.violation_fraction(0.5), 0.5);
-        assert_eq!(stats.violation_fraction(1.5), 0.0);
-    }
-
-    #[test]
-    fn epe_statistics_count_unmeasured() {
-        let target = field_from(&["........", "..####..", "..####..", "........"]);
-        let wafer = Field::zeros(4, 8);
-        let cfg =
-            DefectConfig { epe_tolerance_nm: 1.0, epe_sample_step_nm: 1.0, ..Default::default() };
-        let stats = epe_statistics(&wafer, &target, 1.0, &cfg);
-        assert!(stats.is_empty());
-        assert!(stats.unmeasured > 0);
-    }
-
-    #[test]
-    fn epe_statistics_agree_with_epe_violations_on_random_fields() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Both metrics must derive from the same edge-sample walk: for any
-        // wafer/target pair the distribution replayed at the collection
-        // tolerance reproduces the pass/fail count exactly.
-        for seed in 0..8u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (h, w) = (24, 24);
-            let mut target = Field::zeros(h, w);
-            let mut wafer = Field::zeros(h, w);
-            // Random rectangles give axis-aligned edges like real clips...
-            for _ in 0..4 {
-                let y0 = rng.gen_range(0..h - 2);
-                let x0 = rng.gen_range(0..w - 2);
-                let y1 = rng.gen_range(y0 + 1..h);
-                let x1 = rng.gen_range(x0 + 1..w);
-                for y in y0..y1 {
-                    for x in x0..x1 {
-                        target.set(y, x, 1.0);
-                    }
-                }
-            }
-            // ...and a noisy wafer exercises measured, shifted, and
-            // unmeasurable points alike.
-            for y in 0..h {
-                for x in 0..w {
-                    let flip = rng.gen_bool(0.15);
-                    let v = target.get(y, x);
-                    wafer.set(y, x, if flip { 1.0 - v } else { v });
-                }
-            }
-            for (pixel_nm, tol_nm) in [(1.0, 1.0), (16.0, 15.0), (10.0, 25.0)] {
-                let cfg = DefectConfig {
-                    epe_tolerance_nm: tol_nm,
-                    epe_sample_step_nm: pixel_nm,
-                    ..Default::default()
-                };
-                let (violations, measurements) = epe_violations(&wafer, &target, pixel_nm, &cfg);
-                let stats = epe_statistics(&wafer, &target, pixel_nm, &cfg);
-                assert_eq!(
-                    measurements,
-                    stats.len() + stats.unmeasured,
-                    "seed {seed} pixel {pixel_nm}: measurement counts diverged"
-                );
-                assert_eq!(
-                    violations,
-                    stats.violations(tol_nm),
-                    "seed {seed} pixel {pixel_nm} tol {tol_nm}: violation counts diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,23 +8,6 @@ use ganopc_fft::{Arena, Complex, RealFft2d};
 use ganopc_nn::pool;
 use ganopc_obs as obs;
 
-/// Result of one lithography-gradient evaluation (paper Eq. (11)–(14)).
-#[derive(Debug, Clone)]
-pub struct GradientResult {
-    /// `∂E/∂M_b` — gradient of the squared-L2 lithography error with respect
-    /// to the (relaxed) mask, including the resist-sigmoid chain factor
-    /// `2α·Z(1−Z)` but **not** the mask-sigmoid factor `β·M_b(1−M_b)`
-    /// (applied by the caller that owns the mask parametrization).
-    pub grad: Field,
-    /// The relaxed wafer image `Z = σ(α(I − I_th))` of Eq. (12).
-    pub wafer_relaxed: Field,
-    /// The aerial image `I` at nominal dose.
-    pub aerial: Field,
-    /// The lithography error `E = ‖Z − Z_t‖²` of Eq. (11), computed on the
-    /// relaxed wafer image.
-    pub error: f64,
-}
-
 /// Real and imaginary component fields `(p_k, q_k)` of one kernel
 /// convolution; `None` where the kernel component was dropped as
 /// numerically zero.
@@ -396,9 +379,9 @@ impl LithoModel {
         // (w_spec/tmp/scratch); the convolve stage holds the mask spectrum
         // plus 2 per chunk — 3·lanes covers both for lanes ≥ 1.
         self.arena.reserve_complex(3 * lanes, self.rfft.spectrum_len());
-        // Real peak: 2 component fields per kernel + intensity/z/g + one
+        // Real peak: 2 component fields per kernel + intensity/g + one
         // per-chunk product buffer.
-        self.arena.reserve_real(2 * kernels + 3 + lanes, self.height * self.width);
+        self.arena.reserve_real(2 * kernels + 2 + lanes, self.height * self.width);
     }
 
     /// Aerial image `I = Σ_k w_k |M ⊗ h_k|²` at nominal dose (Eq. (2)).
@@ -406,23 +389,14 @@ impl LithoModel {
     /// # Panics
     ///
     /// Panics if `mask` does not match the model frame (use
-    /// [`LithoModel::try_aerial_image`] for a fallible variant).
+    /// [`LithoModel::aerial_image_into`] for a fallible variant).
     pub fn aerial_image(&self, mask: &Field) -> Field {
-        // PANIC: documented above — the fallible variant is try_aerial_image.
-        self.try_aerial_image(mask).expect("mask shape mismatch")
-    }
-
-    /// Fallible variant of [`LithoModel::aerial_image`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::ShapeMismatch`] when `mask` has the wrong shape.
-    pub fn try_aerial_image(&self, mask: &Field) -> Result<Field, LithoError> {
         // The intensity buffer is the returned Field's storage — the only
         // allocation on this path.
         let mut intensity = vec![0.0f32; self.height * self.width];
-        self.aerial_image_into(mask, &mut intensity)?;
-        Ok(Field::from_vec(self.height, self.width, intensity))
+        // PANIC: documented above — the fallible variant is aerial_image_into.
+        self.aerial_image_into(mask, &mut intensity).expect("mask shape mismatch");
+        Field::from_vec(self.height, self.width, intensity)
     }
 
     /// Writes the aerial image into a caller-owned buffer (overwritten, not
@@ -510,57 +484,29 @@ impl LithoModel {
     }
 
     /// Lithography error and gradient (Eq. (11) + Eq. (14) without the mask
-    /// sigmoid chain): given a relaxed mask `M_b ∈ [0,1]` and a binary
-    /// target, returns `∂E/∂M_b` where `E = ‖Z − Z_t‖²` on the relaxed wafer
-    /// at nominal dose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::ShapeMismatch`] when shapes disagree with the
-    /// frame.
-    pub fn gradient(&self, mask: &Field, target: &Field) -> Result<GradientResult, LithoError> {
-        self.gradient_at_dose(mask, target, 1.0)
-    }
-
-    /// [`LithoModel::gradient`] evaluated at an arbitrary dose (used by
+    /// sigmoid chain) at `dose`: given a relaxed mask `M_b ∈ [0,1]` and a
+    /// binary target, writes `∂E/∂M_b` into `grad` (overwritten, not
+    /// accumulated) and returns the error `E = ‖Z − Z_t‖²` on the relaxed
+    /// wafer `Z = σ(α(dose·I − I_th))` of Eq. (12). The gradient includes the
+    /// resist-sigmoid chain factor `2α·dose·Z(1−Z)` but **not** the
+    /// mask-sigmoid factor `β·M_b(1−M_b)`, which the caller that owns the
+    /// mask parametrization applies. Doses other than 1 serve
     /// process-window-aware ILT, which averages corners — the strategy of
-    /// MOSAIC [7 in the paper]).
+    /// MOSAIC [7 in the paper].
     ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::ShapeMismatch`] when shapes disagree with the
-    /// frame.
-    pub fn gradient_at_dose(
-        &self,
-        mask: &Field,
-        target: &Field,
-        dose: f32,
-    ) -> Result<GradientResult, LithoError> {
-        let n = self.height * self.width;
-        let mut grad = vec![0.0f32; n];
-        let (error, captured) = self.gradient_core(mask, target, dose, &mut grad, true)?;
-        // PANIC: gradient_core always captures when want_fields is true.
-        let (intensity, z) = captured.expect("fields requested");
-        Ok(GradientResult {
-            grad: Field::from_vec(self.height, self.width, grad),
-            wafer_relaxed: Field::from_vec(self.height, self.width, z),
-            aerial: Field::from_vec(self.height, self.width, intensity),
-            error,
-        })
-    }
-
-    /// Allocation-free variant of [`LithoModel::gradient_at_dose`]: writes
-    /// `∂E/∂M_b` into `grad` (overwritten, not accumulated) and returns the
-    /// lithography error `E`. With a warm arena this performs zero heap
-    /// allocation — the entry point for the ILT iteration loop and the
-    /// per-sample pre-training gradients, which discard the aerial and
-    /// wafer images anyway.
+    /// With a warm arena this performs zero heap allocation — the entry
+    /// point for the ILT iteration loop and the per-sample pre-training
+    /// gradients.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] when `mask`/`target` disagree
     /// with the frame and [`LithoError::Fft`] when `grad` has the wrong
     /// length.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dose > 0`.
     // lint: hot-path
     pub fn gradient_into(
         &self,
@@ -576,32 +522,11 @@ impl LithoModel {
                 actual: grad.len(),
             }));
         }
-        grad.fill(0.0);
-        let (error, _) = self.gradient_core(mask, target, dose, grad, false)?;
-        Ok(error)
-    }
-
-    /// Shared gradient pipeline. Accumulates `∂E/∂M_b` into `grad` (which
-    /// must arrive zeroed) and returns the error; when `want_fields` is set,
-    /// also returns `(intensity, z)` as fresh vectors for the caller to wrap
-    /// into [`Field`]s, otherwise those intermediates live and die in the
-    /// arena.
-    // lint: hot-path
-    #[allow(clippy::type_complexity)]
-    fn gradient_core(
-        &self,
-        mask: &Field,
-        target: &Field,
-        dose: f32,
-        grad: &mut [f32],
-        want_fields: bool,
-    ) -> Result<(f64, Option<(Vec<f32>, Vec<f32>)>), LithoError> {
         let _sp = obs::span(obs::Span::LithoGradient);
         obs::counter_add(obs::Counter::LithoGradientCalls, 1);
         self.check_shape(mask)?;
         self.check_shape(target)?;
         assert!(dose > 0.0, "dose must be positive");
-        let n = self.height * self.width;
         let slen = self.rfft.spectrum_len();
 
         self.prime_arena();
@@ -610,24 +535,18 @@ impl LithoModel {
             self.convolved_fields_into(&mask_half, fields);
             self.arena.put_complex(mask_half);
 
-            // Aerial image and relaxed wafer `Z = σ(α(dose·I − I_th))`, plus the
-            // error and the chain factor g = 2α·dose (Z − Z_t) ⊙ Z ⊙ (1 − Z).
-            // ALLOC: want_fields is the cold debug/reporting branch — it hands the
-            // buffers to the caller, so they cannot come from the arena.
-            let mut intensity = if want_fields { vec![0.0f32; n] } else { self.arena.take_real(n) };
+            // Aerial image, then the error and the chain factor
+            // g = 2α·dose (Z − Z_t) ⊙ Z ⊙ (1 − Z) of the relaxed wafer
+            // `Z = σ(α(dose·I − I_th))`.
+            let mut intensity = self.arena.take_real(n);
             self.accumulate_intensity(fields, &mut intensity);
-            // ALLOC: same want_fields escape hatch as `intensity` above.
-            let mut z = if want_fields { vec![0.0f32; n] } else { self.arena.take_real(n) };
             let mut g = self.arena.take_real(n);
             let alpha = self.sigmoid_alpha;
             let th = self.threshold;
             let chain = 2.0 * alpha * dose;
             let mut error = 0.0f64;
-            for (((zi, gi), &ii), &ti) in
-                z.iter_mut().zip(g.iter_mut()).zip(intensity.iter()).zip(target.as_slice())
-            {
+            for ((gi, &ii), &ti) in g.iter_mut().zip(intensity.iter()).zip(target.as_slice()) {
                 let zv = 1.0 / (1.0 + (-alpha * (dose * ii - th)).exp());
-                *zi = zv;
                 let d = zv - ti;
                 error += (d as f64) * (d as f64);
                 *gi = chain * d * zv * (1.0 - zv);
@@ -690,6 +609,7 @@ impl LithoModel {
                     self.arena.put_complex(scratch);
                 }
             });
+            grad.fill(0.0);
             for ((w, _), slot) in self.spectra.iter().zip(fields.iter_mut()) {
                 let Some(gk) = slot.0.take() else { continue };
                 let s = 2.0 * w;
@@ -699,15 +619,8 @@ impl LithoModel {
                 self.arena.put_real(gk);
             }
             self.arena.put_real(g);
-
-            let captured = if want_fields {
-                Some((intensity, z))
-            } else {
-                self.arena.put_real(intensity);
-                self.arena.put_real(z);
-                None
-            };
-            Ok((error, captured))
+            self.arena.put_real(intensity);
+            Ok(error)
         })
     }
 }
@@ -796,28 +709,42 @@ mod tests {
         assert!(mismatch < 64.0, "relaxation too soft: {mismatch}");
     }
 
+    /// Error and gradient through the production entry point at nominal
+    /// dose.
+    fn grad_and_error(model: &LithoModel, mask: &Field, target: &Field) -> (Vec<f32>, f64) {
+        let mut grad = vec![0.0f32; mask.len()];
+        let error = model.gradient_into(mask, target, 1.0, &mut grad).unwrap();
+        (grad, error)
+    }
+
+    /// A soft blob, away from binarization plateaus.
+    fn soft_blob() -> Field {
+        let mut m = Field::zeros(64, 64);
+        for y in 24..40 {
+            for x in 24..40 {
+                m.set(y, x, 0.6);
+            }
+        }
+        m
+    }
+
     #[test]
     fn aerial_shape_mismatch_is_error() {
         let model = small_model();
         let bad = Field::zeros(32, 32);
-        assert!(matches!(model.try_aerial_image(&bad), Err(LithoError::ShapeMismatch { .. })));
+        let mut intensity = vec![0.0f32; 32 * 32];
+        assert!(matches!(
+            model.aerial_image_into(&bad, &mut intensity),
+            Err(LithoError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
     fn gradient_matches_finite_difference() {
         let model = small_model();
-        let mask = {
-            // A soft blob, away from binarization plateaus.
-            let mut m = Field::zeros(64, 64);
-            for y in 24..40 {
-                for x in 24..40 {
-                    m.set(y, x, 0.6);
-                }
-            }
-            m
-        };
+        let mask = soft_blob();
         let target = line_mask(64, 64, 28, 36, 24, 40);
-        let result = model.gradient(&mask, &target).unwrap();
+        let (grad, _) = grad_and_error(&model, &mask, &target);
 
         // Directional finite difference: aggregate over the whole field so
         // f32 forward-model rounding averages out. Direction = deterministic
@@ -840,11 +767,10 @@ mod tests {
                 mask.as_slice().iter().zip(&dir).map(|(&m, &d)| m + sign * eps * d).collect(),
             )
         };
-        let ep = model.gradient(&shifted(1.0), &target).unwrap().error;
-        let em = model.gradient(&shifted(-1.0), &target).unwrap().error;
+        let ep = grad_and_error(&model, &shifted(1.0), &target).1;
+        let em = grad_and_error(&model, &shifted(-1.0), &target).1;
         let fd = (ep - em) / (2.0 * eps as f64);
-        let analytic: f64 =
-            result.grad.as_slice().iter().zip(&dir).map(|(&g, &d)| g as f64 * d as f64).sum();
+        let analytic: f64 = grad.iter().zip(&dir).map(|(&g, &d)| g as f64 * d as f64).sum();
         let denom = fd.abs().max(analytic.abs()).max(1e-6);
         assert!(
             (fd - analytic).abs() / denom < 0.02,
@@ -857,21 +783,22 @@ mod tests {
         // Per-pixel check restricted to pixels where the gradient is large
         // enough to rise above f32 forward-model noise.
         let model = small_model();
-        let mut mask = Field::zeros(64, 64);
-        for y in 24..40 {
-            for x in 24..40 {
-                mask.set(y, x, 0.6);
-            }
-        }
+        let mask = soft_blob();
         let target = line_mask(64, 64, 28, 36, 24, 40);
-        let result = model.gradient(&mask, &target).unwrap();
+        let (grad, error) = grad_and_error(&model, &mask, &target);
+        // A pre-filled buffer is overwritten, not accumulated into.
+        let mut garbage = vec![7.0f32; 64 * 64];
+        assert_eq!(model.gradient_into(&mask, &target, 1.0, &mut garbage).unwrap(), error);
+        assert_eq!(garbage, grad);
+
+        let grad = Field::from_vec(64, 64, grad);
         let (py, px) = {
             let mut best = (0, 0);
             let mut mag = 0.0f32;
             for y in 0..64 {
                 for x in 0..64 {
-                    if result.grad.get(y, x).abs() > mag {
-                        mag = result.grad.get(y, x).abs();
+                    if grad.get(y, x).abs() > mag {
+                        mag = grad.get(y, x).abs();
                         best = (y, x);
                     }
                 }
@@ -883,10 +810,10 @@ mod tests {
         plus.set(py, px, plus.get(py, px) + eps);
         let mut minus = mask.clone();
         minus.set(py, px, minus.get(py, px) - eps);
-        let ep = model.gradient(&plus, &target).unwrap().error;
-        let em = model.gradient(&minus, &target).unwrap().error;
+        let ep = grad_and_error(&model, &plus, &target).1;
+        let em = grad_and_error(&model, &minus, &target).1;
         let fd = ((ep - em) / (2.0 * eps as f64)) as f32;
-        let an = result.grad.get(py, px);
+        let an = grad.get(py, px);
         assert!(
             (fd - an).abs() / an.abs().max(1e-6) < 0.05,
             "pixel ({py},{px}): fd {fd} vs analytic {an}"
@@ -898,19 +825,19 @@ mod tests {
         let model = small_model();
         let target = line_mask(64, 64, 28, 36, 16, 48);
         let mask = Field::filled(64, 64, 0.4);
-        let r0 = model.gradient(&mask, &target).unwrap();
+        let (grad, e0) = grad_and_error(&model, &mask, &target);
         let step = 1e-2f32;
         let moved = Field::from_vec(
             64,
             64,
             mask.as_slice()
                 .iter()
-                .zip(r0.grad.as_slice())
+                .zip(&grad)
                 .map(|(&m, &g)| (m - step * g).clamp(0.0, 1.0))
                 .collect(),
         );
-        let r1 = model.gradient(&moved, &target).unwrap();
-        assert!(r1.error < r0.error, "descent failed: {} -> {}", r0.error, r1.error);
+        let (_, e1) = grad_and_error(&model, &moved, &target);
+        assert!(e1 < e0, "descent failed: {e0} -> {e1}");
     }
 
     #[test]
@@ -925,24 +852,6 @@ mod tests {
         let model = small_model();
         assert!(model.num_kernels() <= 8);
         assert!(model.num_kernels() >= 4);
-    }
-
-    #[test]
-    fn gradient_into_matches_gradient() {
-        let model = small_model();
-        let mut mask = Field::zeros(64, 64);
-        for y in 24..40 {
-            for x in 24..40 {
-                mask.set(y, x, 0.6);
-            }
-        }
-        let target = line_mask(64, 64, 28, 36, 24, 40);
-        let reference = model.gradient(&mask, &target).unwrap();
-        // Pre-filled garbage must be fully overwritten, not accumulated.
-        let mut grad = vec![7.0f32; 64 * 64];
-        let error = model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap();
-        assert_eq!(error, reference.error);
-        assert_eq!(grad.as_slice(), reference.grad.as_slice());
     }
 
     #[test]
@@ -963,14 +872,13 @@ mod tests {
         let target = line_mask(64, 64, 30, 34, 18, 46);
         let mut grad = vec![0.0f32; 64 * 64];
         // Warm-up (small_model's threshold calibration already primed the
-        // aerial path; the gradient paths fill in the rest).
+        // aerial path; the gradient path fills in the rest).
         let _ = model.aerial_image(&mask);
-        let _ = model.gradient(&mask, &target).unwrap();
         model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap();
         let warm = model.scratch_allocations();
         for _ in 0..5 {
             let _ = model.aerial_image(&mask);
-            let _ = model.gradient_at_dose(&mask, &target, 1.02).unwrap();
+            model.gradient_into(&mask, &target, 1.02, &mut grad).unwrap();
             model.gradient_into(&mask, &target, 0.98, &mut grad).unwrap();
         }
         assert_eq!(

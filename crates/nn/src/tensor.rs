@@ -82,12 +82,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes into the flat buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element by multi-index.
     ///
     /// # Panics

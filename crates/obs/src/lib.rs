@@ -200,8 +200,6 @@ registry_enum! {
         TrainBackward => "train_backward",
         /// Gradient clipping and optimizer updates.
         TrainOptimizer => "train_optimizer",
-        /// Validation checkpoints (litho scoring of generated masks).
-        TrainValidation => "train_validation",
         /// One generator pretraining step.
         PretrainStep => "pretrain_step",
         /// Litho-gradient fan-out inside a pretraining step.

@@ -100,7 +100,6 @@ fn captured_snapshot_covers_the_whole_registry_in_declaration_order() {
             "train_d_pass",
             "train_backward",
             "train_optimizer",
-            "train_validation",
             "pretrain_step",
             "pretrain_litho",
             "infer",

@@ -33,7 +33,7 @@ ganopc — lithography-guided generative adversarial mask optimization
 USAGE:
     ganopc <command> [--key value]...
 
-COMMANDS:
+COMMANDS (PX values are powers of two in 8..=2048):
     synthesize   generate a DRC-clean M1 clip
                    --seed N (default 7)  --groups N (default 10)
                    --size PX (default 128)  --out FILE.pgm (optional)
@@ -160,6 +160,29 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// Reads a raster-size flag (`--size`, `--net`): a power of two in
+/// 8..=2048, where 2048 px is 1 nm/px on the 2048 nm clip frame.
+fn get_size(args: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, CliError> {
+    let size: usize = get(args, key, default)?;
+    if !(8..=2048).contains(&size) || !size.is_power_of_two() {
+        return Err(CliError::Usage(format!(
+            "--{key} must be a power of two in 8..=2048, got {size}"
+        )));
+    }
+    Ok(size)
+}
+
+/// The GAN flow `opc --flow gan` and `evaluate` run at `size` px, checked
+/// before any work so a bad `--net`/`--size` pair is a usage error.
+fn gan_flow_config(args: &HashMap<String, String>, size: usize) -> Result<FlowConfig, CliError> {
+    let mut cfg = FlowConfig::paper_scaled();
+    cfg.net_size = get_size(args, "net", 64)?;
+    cfg.litho_size = size;
+    cfg.base_channels = 8; // must match `ganopc train`
+    cfg.validate().map_err(|e| CliError::Usage(format!("gan flow configuration: {e}")))?;
+    Ok(cfg)
+}
+
 /// Startup hygiene for a command about to write `path`: sweep stale
 /// atomic-write temporaries out of its directory.
 fn sweep_output_dir(path: &str) {
@@ -177,7 +200,7 @@ fn synthesize_clip(seed: u64, groups: usize) -> gan_opc::geometry::Layout {
 fn cmd_synthesize(args: &HashMap<String, String>) -> Result<(), CliError> {
     let seed: u64 = get(args, "seed", 7)?;
     let groups: usize = get(args, "groups", 10)?;
-    let size: usize = get(args, "size", 128)?;
+    let size = get_size(args, "size", 128)?;
     let clip = synthesize_clip(seed, groups);
     println!(
         "clip: {} shapes, pattern area {} nm², frame {} nm",
@@ -194,10 +217,22 @@ fn cmd_synthesize(args: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The mask-optimization flows `ganopc opc` runs.
+enum OpcFlow {
+    Ilt,
+    MbOpc,
+    Gan(FlowConfig),
+}
+
 fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
     let seed: u64 = get(args, "seed", 7)?;
-    let size: usize = get(args, "size", 128)?;
-    let flow_kind = args.get("flow").map(String::as_str).unwrap_or("ilt");
+    let size = get_size(args, "size", 128)?;
+    let flow = match args.get("flow").map(String::as_str).unwrap_or("ilt") {
+        "ilt" => OpcFlow::Ilt,
+        "mbopc" => OpcFlow::MbOpc,
+        "gan" => OpcFlow::Gan(gan_flow_config(args, size)?),
+        other => return Err(CliError::Usage(format!("unknown flow '{other}' (ilt|mbopc|gan)"))),
+    };
     let clip = match args.get("clip") {
         Some(path) => gan_opc::geometry::textfmt::read_layout(path)
             .map_err(|e| CliError::Io(format!("cannot load {path}: {e}")))?,
@@ -207,8 +242,8 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
     let model =
         LithoModel::iccad2013_like_cached(size).map_err(|e| CliError::Other(e.to_string()))?;
 
-    let (label, mask, wafer, runtime_s) = match flow_kind {
-        "ilt" => {
+    let (label, mask, wafer, runtime_s) = match flow {
+        OpcFlow::Ilt => {
             let mut engine = IltEngine::new(
                 LithoModel::iccad2013_like_cached(size)
                     .map_err(|e| CliError::Other(e.to_string()))?,
@@ -217,7 +252,7 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
             let r = engine.optimize(&target).map_err(|e| CliError::Other(e.to_string()))?;
             ("ILT", r.mask, r.wafer, r.runtime_s)
         }
-        "mbopc" => {
+        OpcFlow::MbOpc => {
             let mut engine = MbOpcEngine::new(
                 LithoModel::iccad2013_like_cached(size)
                     .map_err(|e| CliError::Other(e.to_string()))?,
@@ -226,12 +261,7 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
             let r = engine.optimize(&clip).map_err(|e| CliError::Other(e.to_string()))?;
             ("MB-OPC", r.mask, r.wafer, r.runtime_s)
         }
-        "gan" => {
-            let net: usize = get(args, "net", 64)?;
-            let mut cfg = FlowConfig::paper_scaled();
-            cfg.net_size = net;
-            cfg.litho_size = size;
-            cfg.base_channels = 8; // must match `ganopc train`
+        OpcFlow::Gan(cfg) => {
             let mut flow = GanOpcFlow::new(cfg).map_err(|e| classify("", e))?;
             if let Some(ckpt) = args.get("ckpt") {
                 flow.generator_mut().load(ckpt).map_err(|e| classify(ckpt, e))?;
@@ -241,7 +271,6 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
             let r = flow.optimize(&target).map_err(|e| classify("", e))?;
             ("GAN-OPC", r.mask, r.wafer, r.total_runtime_s)
         }
-        other => return Err(CliError::Usage(format!("unknown flow '{other}' (ilt|mbopc|gan)"))),
     };
 
     let metrics = MaskMetrics::evaluate(&model, &mask, &target, &DefectConfig::default());
@@ -268,10 +297,18 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
 fn cmd_train(args: &HashMap<String, String>) -> Result<(), CliError> {
     let out = args.get("out").cloned().unwrap_or_else(|| "model.ckpt".to_string());
     let count: usize = get(args, "count", 40)?;
-    let net: usize = get(args, "net", 64)?;
-    let iters: usize = get(args, "iters", 300)?;
-    let pretrain: usize = get(args, "pretrain", 100)?;
+    let net = get_size(args, "net", 64)?;
     let seed: u64 = get(args, "seed", 2018)?;
+    // Both training configurations are checked before any work, so a bad
+    // flag is a usage error rather than a failure after dataset synthesis.
+    let mut pcfg = PretrainConfig::paper_scaled();
+    pcfg.iterations = get(args, "pretrain", 100)?;
+    if pcfg.iterations > 0 {
+        pcfg.validate().map_err(|e| CliError::Usage(format!("pre-training configuration: {e}")))?;
+    }
+    let mut tcfg = TrainConfig::paper_scaled();
+    tcfg.iterations = get(args, "iters", 300)?;
+    tcfg.validate().map_err(|e| CliError::Usage(format!("training configuration: {e}")))?;
     let state_path = args.get("state").cloned();
     let defaults = SupervisorConfig::default();
     let sup_cfg = SupervisorConfig {
@@ -303,12 +340,10 @@ fn cmd_train(args: &HashMap<String, String>) -> Result<(), CliError> {
         trainer
     } else {
         let mut generator = Generator::new(net, 8, seed);
-        if pretrain > 0 {
-            eprintln!("[2/3] ILT-guided pre-training ({pretrain} steps)...");
+        if pcfg.iterations > 0 {
+            eprintln!("[2/3] ILT-guided pre-training ({} steps)...", pcfg.iterations);
             let model = LithoModel::iccad2013_like_cached(net)
                 .map_err(|e| CliError::Other(e.to_string()))?;
-            let mut pcfg = PretrainConfig::paper_scaled();
-            pcfg.iterations = pretrain;
             let stats = pretrain_generator(&mut generator, &model, &dataset, &pcfg)
                 .map_err(|e| classify("pre-training", e))?;
             eprintln!(
@@ -319,8 +354,6 @@ fn cmd_train(args: &HashMap<String, String>) -> Result<(), CliError> {
         } else {
             eprintln!("[2/3] skipping pre-training (--pretrain 0)");
         }
-        let mut tcfg = TrainConfig::paper_scaled();
-        tcfg.iterations = iters;
         GanTrainer::new(generator, Discriminator::new(net, 8, seed ^ 1), tcfg)
     };
 
@@ -406,13 +439,8 @@ fn cmd_evaluate(args: &HashMap<String, String>) -> Result<(), CliError> {
     let ckpt = args
         .get("ckpt")
         .ok_or_else(|| CliError::Usage("--ckpt is required for evaluate".into()))?;
-    let net: usize = get(args, "net", 64)?;
-    let size: usize = get(args, "size", 128)?;
-    let mut cfg = FlowConfig::paper_scaled();
-    cfg.net_size = net;
-    cfg.litho_size = size;
-    cfg.base_channels = 8; // must match `ganopc train`
-    let mut flow = GanOpcFlow::new(cfg).map_err(|e| classify("", e))?;
+    let size = get_size(args, "size", 128)?;
+    let mut flow = GanOpcFlow::new(gan_flow_config(args, size)?).map_err(|e| classify("", e))?;
     flow.generator_mut().load(ckpt).map_err(|e| classify(ckpt, e))?;
 
     println!("{:>4} {:>10} {:>10} {:>8}", "ID", "L2 (nm²)", "PVB (nm²)", "RT (s)");

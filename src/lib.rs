@@ -6,7 +6,8 @@
 //! This crate re-exports the workspace members so downstream users can depend
 //! on a single package:
 //!
-//! * [`fft`] — radix-2 complex FFT used by every optical computation;
+//! * [`fft`] — planned radix-4/2 `Fft1d` under the packed real 2-D FFT
+//!   `RealFft2d` that every optical computation runs on;
 //! * [`geometry`] — rectilinear layout model, design rules, clip synthesis;
 //! * [`litho`] — Hopkins/SOCS lithography simulator and printability metrics;
 //! * [`nn`] — CPU neural-network library (tensors, conv/deconv, optimizers);
