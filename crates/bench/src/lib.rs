@@ -92,7 +92,7 @@ impl Scale {
     }
 }
 
-/// One paper Table 2 row: `(ID, area, [L2, PVB, RT])` for ILT [7], GAN-OPC
+/// One paper Table 2 row: `(ID, area, [L2, PVB, RT])` for ILT \[7\], GAN-OPC
 /// and PGAN-OPC respectively.
 pub type PaperTable2Row = (usize, i64, [f64; 3], [f64; 3], [f64; 3]);
 

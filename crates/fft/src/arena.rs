@@ -3,12 +3,14 @@
 //! The litho model's aerial-image and gradient evaluations need a handful of
 //! frame-sized complex and real buffers per SOCS kernel. Allocating them
 //! per call dominated small-frame runtimes and thrashes the allocator from
-//! the worker pool; a thread-local cache does not help because the pool
-//! spawns fresh scoped workers on every call. [`Arena`] is the alternative:
-//! a mutex-guarded freelist owned by the plan (the [`LithoModel`]), shared
-//! by all workers, from which buffers are borrowed and returned. After the
-//! first call on a given frame size the freelist is warm and steady-state
-//! evaluations perform no heap allocation for scratch.
+//! the worker pool. [`Arena`] is a mutex-guarded freelist owned by the plan
+//! (the [`LithoModel`]), shared by all workers, from which buffers are
+//! borrowed and returned. It predates the persistent work-crew, when pool
+//! workers were scoped threads recreated per call and a thread-local cache
+//! could not outlive one; being owned by the model, it also frees its
+//! buffers with the model. After the first call on a given frame size the
+//! freelist is warm and steady-state evaluations perform no heap
+//! allocation for scratch.
 //!
 //! The arena also counts *fresh* allocations (freelist misses), which is the
 //! hook the zero-allocation regression tests assert on.

@@ -156,8 +156,8 @@ impl Fft1d {
 
     /// Transforms a buffer whose length is known to match the plan.
     ///
-    /// Used by [`crate::RealFft2d`] on internal rows and columns
-    /// where the length invariant is maintained structurally.
+    /// Used by [`crate::RealFft2d`] on internal rows, where the length
+    /// invariant is maintained structurally.
     // lint: hot-path
     pub(crate) fn transform_unchecked(&self, data: &mut [Complex], dir: Direction) {
         let n = self.len;
@@ -187,6 +187,51 @@ impl Fft1d {
         }
     }
 
+    /// Transforms every column of a row-major `len × cols` block in place:
+    /// `cols` independent length-`len` transforms run as one batch.
+    ///
+    /// Each column goes through exactly the floating-point operations, in
+    /// the same order, that [`Fft1d::transform`] applies to it alone, so the
+    /// results are bit-identical to transforming extracted columns. The swap
+    /// program moves whole rows and every butterfly's inner loop runs across
+    /// the contiguous columns of a row, so it vectorizes and needs no
+    /// transpose or scratch storage. Used by [`crate::RealFft2d`]'s column
+    /// pass over the stored half-spectrum.
+    // lint: hot-path
+    pub(crate) fn transform_columns(&self, data: &mut [Complex], cols: usize, dir: Direction) {
+        let n = self.len;
+        debug_assert_eq!(data.len(), n * cols, "block must be len × cols");
+        if n <= 1 || cols == 0 {
+            return;
+        }
+        for &(i, j) in &self.swaps {
+            let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
+            let (head, tail) = data.split_at_mut(hi * cols);
+            head[lo * cols..(lo + 1) * cols].swap_with_slice(&mut tail[..cols]);
+        }
+        if self.radix2_first {
+            for pair in data.chunks_exact_mut(2 * cols) {
+                let (r0, r1) = pair.split_at_mut(cols);
+                for (x0, x1) in r0.iter_mut().zip(r1.iter_mut()) {
+                    let (a, b) = (*x0, *x1);
+                    *x0 = a + b;
+                    *x1 = a - b;
+                }
+            }
+        }
+        let m0 = if self.radix2_first { 2 } else { 1 };
+        match dir {
+            Direction::Forward => self.radix4_stages_columns::<false>(data, cols, m0),
+            Direction::Inverse => {
+                self.radix4_stages_columns::<true>(data, cols, m0);
+                let scale = 1.0 / n as f32;
+                for c in data.iter_mut() {
+                    *c = c.scale(scale);
+                }
+            }
+        }
+    }
+
     /// All radix-4 stages for one direction. `INV` selects the conjugated
     /// twiddle table and the sign of the `±i` rotation, monomorphizing the
     /// butterfly into two branch-free inner loops.
@@ -207,31 +252,81 @@ impl Fft1d {
                     // PANIC: stage_tw holds exactly 3*m twiddles, so the
                     // chunks_exact(3) iterator yields one triple per t < m.
                     let w = tw.next().expect("twiddle triple");
-                    let u0 = q0[t];
-                    let u1 = q1[t] * w[0];
-                    let u2 = q2[t] * w[1];
-                    let u3 = q3[t] * w[2];
-                    let s02 = u0 + u2;
-                    let d02 = u0 - u2;
-                    let s13 = u1 + u3;
-                    let d13 = u1 - u3;
-                    // jd13 = ∓i·d13: forward uses W₄ = e^{-iπ/2} = -i, the
-                    // inverse its conjugate.
-                    let jd13 = if INV {
-                        Complex::new(-d13.im, d13.re)
-                    } else {
-                        Complex::new(d13.im, -d13.re)
-                    };
-                    q0[t] = s02 + s13;
-                    q1[t] = d02 + jd13;
-                    q2[t] = s02 - s13;
-                    q3[t] = d02 - jd13;
+                    let w = [w[0], w[1], w[2]];
+                    butterfly4::<INV>(&mut q0[t], &mut q1[t], &mut q2[t], &mut q3[t], w);
                 }
             }
             base += 3 * m;
             m = span;
         }
     }
+
+    /// [`Fft1d::radix4_stages`] over the columns of a row-major
+    /// `len × cols` block: quarter `q` of a group is `m` whole rows, and
+    /// the butterfly with twiddle triple `t` runs across row `t` of the four
+    /// quarters.
+    // lint: hot-path
+    fn radix4_stages_columns<const INV: bool>(
+        &self,
+        data: &mut [Complex],
+        cols: usize,
+        mut m: usize,
+    ) {
+        let table: &[Complex] = if INV { &self.inv } else { &self.fwd };
+        let n = self.len;
+        let mut base = 0usize;
+        while 4 * m <= n {
+            let span = 4 * m;
+            let stage_tw = &table[base..base + 3 * m];
+            for group in data.chunks_exact_mut(span * cols) {
+                let (q01, q23) = group.split_at_mut(2 * m * cols);
+                let (q0, q1) = q01.split_at_mut(m * cols);
+                let (q2, q3) = q23.split_at_mut(m * cols);
+                let rows = q0
+                    .chunks_exact_mut(cols)
+                    .zip(q1.chunks_exact_mut(cols))
+                    .zip(q2.chunks_exact_mut(cols))
+                    .zip(q3.chunks_exact_mut(cols));
+                for ((((r0, r1), r2), r3), w) in rows.zip(stage_tw.chunks_exact(3)) {
+                    let w = [w[0], w[1], w[2]];
+                    let lanes = r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut()).zip(r3);
+                    for (((x0, x1), x2), x3) in lanes {
+                        butterfly4::<INV>(x0, x1, x2, x3, w);
+                    }
+                }
+            }
+            base += 3 * m;
+            m = span;
+        }
+    }
+}
+
+/// One radix-4 decimation-in-time butterfly on `(x0, x1, x2, x3)` with the
+/// twiddle triple `w = (W^t, W^2t, W^3t)`. The single body both the per-row
+/// and the batched column stages run, so their arithmetic cannot diverge.
+#[inline(always)]
+fn butterfly4<const INV: bool>(
+    x0: &mut Complex,
+    x1: &mut Complex,
+    x2: &mut Complex,
+    x3: &mut Complex,
+    w: [Complex; 3],
+) {
+    let u0 = *x0;
+    let u1 = *x1 * w[0];
+    let u2 = *x2 * w[1];
+    let u3 = *x3 * w[2];
+    let s02 = u0 + u2;
+    let d02 = u0 - u2;
+    let s13 = u1 + u3;
+    let d13 = u1 - u3;
+    // jd13 = ∓i·d13: forward uses W₄ = e^{-iπ/2} = -i, the inverse its
+    // conjugate.
+    let jd13 = if INV { Complex::new(-d13.im, d13.re) } else { Complex::new(d13.im, -d13.re) };
+    *x0 = s02 + s13;
+    *x1 = d02 + jd13;
+    *x2 = s02 - s13;
+    *x3 = d02 - jd13;
 }
 
 #[cfg(test)]
@@ -324,6 +419,35 @@ mod tests {
                 for (g, e) in got.iter().zip(&expect) {
                     assert!((g.re - e.re).abs() < tol, "n={n} {dir:?}");
                     assert!((g.im - e.im).abs() < tol, "n={n} {dir:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transform_columns_is_bit_identical_to_per_column_transforms() {
+        for log in 0..=10 {
+            let n = 1usize << log;
+            let plan = Fft1d::new(n).unwrap();
+            for cols in [1usize, 2, 3, 33, 65, 129] {
+                let block: Vec<Complex> = (0..n * cols)
+                    .map(|i| Complex::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos() - 0.5))
+                    .collect();
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut batched = block.clone();
+                    plan.transform_columns(&mut batched, cols, dir);
+                    for c in 0..cols {
+                        let mut col: Vec<Complex> = (0..n).map(|r| block[r * cols + c]).collect();
+                        plan.transform(&mut col, dir).unwrap();
+                        for (r, want) in col.iter().enumerate() {
+                            let got = batched[r * cols + c];
+                            assert_eq!(
+                                (got.re.to_bits(), got.im.to_bits()),
+                                (want.re.to_bits(), want.im.to_bits()),
+                                "n={n} cols={cols} {dir:?} at ({r},{c})"
+                            );
+                        }
+                    }
                 }
             }
         }

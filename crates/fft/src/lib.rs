@@ -1,7 +1,7 @@
 //! Planned real-FFT spectral engine for the GAN-OPC lithography stack.
 //!
 //! Every optical computation in the workspace — Hopkins/SOCS aerial images
-//! ([`ganopc-litho`]), inverse-lithography gradients ([`ganopc-ilt`]) and the
+//! (`ganopc-litho`), inverse-lithography gradients (`ganopc-ilt`) and the
 //! lithography-guided pre-training of the GAN generator — reduces to cyclic
 //! convolutions of a real mask field with a set of optical kernels. This
 //! crate provides the minimal, dependency-free machinery for those
@@ -13,8 +13,9 @@
 //!   transform for power-of-two lengths, with direction-specific twiddle
 //!   tables and a precomputed digit-reversal swap program;
 //! * [`RealFft2d`] — the real-input 2-D transform over the packed Hermitian
-//!   `h × (w/2+1)` half-spectrum, built on [`Fft1d`] with cache-blocked
-//!   transposes for the column pass; it carries the whole litho hot path;
+//!   `h × (w/2+1)` half-spectrum, built on [`Fft1d`]: one transform per row,
+//!   then one batched, in-place transform over all stored columns; it
+//!   carries the whole litho hot path;
 //! * [`Arena`] — a shared freelist of frame-sized scratch buffers so
 //!   steady-state convolutions allocate nothing;
 //! * [`spectrum`] helpers — half-spectrum products and the kernel spectra

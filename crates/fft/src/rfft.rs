@@ -16,29 +16,6 @@
 
 use crate::{Complex, Direction, Fft1d, FftError};
 
-/// Tile edge for the blocked transpose. 32 complex values per row of a tile
-/// is 256 bytes — four cache lines — so a 32×32 tile streams through L1
-/// while both the read and the write side stay within a handful of pages.
-const TRANSPOSE_BLOCK: usize = 32;
-
-/// Transposes a row-major `rows × cols` matrix into `dst` (`cols × rows`),
-/// walking tile-by-tile so both sides of the copy stay cache-resident.
-fn transpose_into(src: &[Complex], dst: &mut [Complex], rows: usize, cols: usize) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    for y0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
-        let y1 = (y0 + TRANSPOSE_BLOCK).min(rows);
-        for x0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
-            let x1 = (x0 + TRANSPOSE_BLOCK).min(cols);
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    dst[x * rows + y] = src[y * cols + x];
-                }
-            }
-        }
-    }
-}
-
 /// A planned real-input 2-D FFT producing/consuming the packed
 /// `h × (w/2+1)` half-spectrum.
 ///
@@ -140,10 +117,12 @@ impl RealFft2d {
     }
 
     /// Forward transform: real `height × width` image → packed half-spectrum
-    /// (unnormalized, the [`Direction::Forward`] convention).
+    /// (unnormalized, the [`Direction::Forward`] convention). Runs in place
+    /// on `out` with no heap allocation.
     ///
-    /// `scratch` is grown to `spectrum_len()` once and then reused; steady
-    /// state performs zero heap allocation.
+    /// `_scratch` is unused: the transform needs no working storage beyond
+    /// `out`. The argument stays only for source compatibility with existing
+    /// callers, and is never read or grown.
     ///
     /// # Errors
     ///
@@ -153,12 +132,11 @@ impl RealFft2d {
         &self,
         real: &[f32],
         out: &mut [Complex],
-        scratch: &mut Vec<Complex>,
+        _scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(real.len(), out.len())?;
-        let (h, hw) = (self.height, self.half_width);
+        let hw = self.half_width;
         let m = self.width / 2;
-        scratch.resize(h * hw, Complex::ZERO);
 
         // Row pass: pack two real samples per complex slot, half-length FFT,
         // then untangle into the m+1 stored bins.
@@ -171,12 +149,8 @@ impl RealFft2d {
         }
 
         // Column pass: every stored column gets a full-height complex FFT,
-        // run contiguously through a pair of blocked transposes.
-        transpose_into(out, scratch, h, hw);
-        for col in scratch.chunks_exact_mut(h) {
-            self.col_plan.transform_unchecked(col, Direction::Forward);
-        }
-        transpose_into(scratch, out, hw, h);
+        // all of them as one batch in place on the row-major half-spectrum.
+        self.col_plan.transform_columns(out, hw, Direction::Forward);
         Ok(())
     }
 
@@ -186,7 +160,9 @@ impl RealFft2d {
     /// Destroys the contents of `half` (it is used as working storage). The
     /// input is assumed Hermitian-consistent, i.e. in the range of
     /// [`RealFft2d::forward`] — true for any product of half-spectra of real
-    /// fields, which is all the litho stack produces.
+    /// fields, which is all the litho stack produces. No heap allocation.
+    ///
+    /// `_scratch` is unused, as in [`RealFft2d::forward`].
     ///
     /// # Errors
     ///
@@ -196,20 +172,15 @@ impl RealFft2d {
         &self,
         half: &mut [Complex],
         out: &mut [f32],
-        scratch: &mut Vec<Complex>,
+        _scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(out.len(), half.len())?;
-        let (h, hw) = (self.height, self.half_width);
+        let hw = self.half_width;
         let m = self.width / 2;
-        scratch.resize(h * hw, Complex::ZERO);
 
         // Column pass first (reverse of forward): inverse FFT down every
         // stored column, carrying the 1/h normalization.
-        transpose_into(half, scratch, h, hw);
-        for col in scratch.chunks_exact_mut(h) {
-            self.col_plan.transform_unchecked(col, Direction::Inverse);
-        }
-        transpose_into(scratch, half, hw, h);
+        self.col_plan.transform_columns(half, hw, Direction::Inverse);
 
         // Row pass: tangle the m+1 bins back into a half-length complex
         // sequence, inverse FFT (1/m), unpack interleaved real samples. The
@@ -222,58 +193,6 @@ impl RealFft2d {
                 pair[0] = z.re;
                 pair[1] = z.im;
             }
-        }
-        Ok(())
-    }
-
-    /// Adjoint of [`RealFft2d::forward`]: maps an *arbitrary* packed
-    /// half-spectrum `Y` (not necessarily Hermitian-consistent) to the real
-    /// image `A(Y)[n] = Re Σ_k Y[k]·e^{+2πi⟨k,n⟩}`, the transpose of the
-    /// forward operator under the real inner product `⟨U,V⟩ = Σ Re(U·conj(V))`.
-    ///
-    /// Gradients of losses expressed on the packed spectrum pull back through
-    /// this map. Destroys the contents of `half`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::SizeMismatch`] on buffer-length mismatch.
-    // lint: hot-path
-    pub fn adjoint(
-        &self,
-        half: &mut [Complex],
-        out: &mut [f32],
-        scratch: &mut Vec<Complex>,
-    ) -> Result<(), FftError> {
-        self.check(out.len(), half.len())?;
-        let (h, hw) = (self.height, self.half_width);
-        let m = self.width / 2;
-        // Interior columns 0 < kx < m are counted twice by the implicit
-        // mirror of the Hermitian inverse, so they enter at half weight;
-        // the self-mirrored boundary columns are instead projected onto
-        // their Hermitian (along ky) part.
-        for row in half.chunks_exact_mut(hw) {
-            for v in &mut row[1..m] {
-                *v = v.scale(0.5);
-            }
-        }
-        for b in [0, m] {
-            for ky in 0..=(h / 2) {
-                let ky2 = (h - ky) % h;
-                if ky2 < ky {
-                    continue;
-                }
-                let a = half[ky * hw + b];
-                let c = half[ky2 * hw + b];
-                half[ky * hw + b] = (a + c.conj()).scale(0.5);
-                half[ky2 * hw + b] = (c + a.conj()).scale(0.5);
-            }
-        }
-        // The symmetrized spectrum lies in the range of `forward`, where the
-        // inverse is exact; undo its 1/N normalization.
-        self.inverse(half, out, scratch)?;
-        let n = (h * self.width) as f32;
-        for v in out.iter_mut() {
-            *v *= n;
         }
         Ok(())
     }
@@ -310,8 +229,8 @@ impl RealFft2d {
     // lint: hot-path
     fn tangle_row(&self, row: &mut [Complex]) {
         let m = self.width / 2;
-        // General (complex-boundary-safe) tangle so the adjoint path may feed
-        // symmetrized but non-real DC/Nyquist entries through the same code.
+        // General tangle: it does not assume the DC and Nyquist bins are real,
+        // and the inverse's output bits depend on exactly this arithmetic.
         let x0 = row[0];
         let xm = row[m];
         let e0 = (x0 + xm.conj()).scale(0.5);
@@ -412,24 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip_rectangular() {
-        for (r, c) in [(1usize, 64usize), (64, 1), (8, 8), (33, 70), (128, 32)] {
-            let src: Vec<Complex> =
-                (0..r * c).map(|i| Complex::new(i as f32, -(i as f32) * 0.5)).collect();
-            let mut t = vec![Complex::ZERO; r * c];
-            let mut back = vec![Complex::ZERO; r * c];
-            transpose_into(&src, &mut t, r, c);
-            for y in 0..r {
-                for x in 0..c {
-                    assert_eq!(t[x * r + y], src[y * c + x]);
-                }
-            }
-            transpose_into(&t, &mut back, c, r);
-            assert_eq!(back, src);
-        }
-    }
-
-    #[test]
     fn boundary_columns_are_self_conjugate() {
         let (h, w) = (8usize, 16usize);
         let plan = RealFft2d::new(h, w).unwrap();
@@ -464,49 +365,16 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_identity_holds() {
-        // ⟨F x, Y⟩ = ⟨x, Aᵀ Y⟩ under the real inner product, for arbitrary
-        // (non-Hermitian) packed Y.
-        let (h, w) = (8usize, 16usize);
-        let plan = RealFft2d::new(h, w).unwrap();
-        let x = image(h, w);
-        let mut fx = vec![Complex::ZERO; plan.spectrum_len()];
-        let mut scratch = Vec::new();
-        plan.forward(&x, &mut fx, &mut scratch).unwrap();
-
-        let mut y: Vec<Complex> = (0..plan.spectrum_len())
-            .map(|i| {
-                Complex::new(((i * 13 % 31) as f32) / 31.0 - 0.5, ((i * 7 % 17) as f32) / 17.0)
-            })
-            .collect();
-        let lhs: f64 = fx
-            .iter()
-            .zip(&y)
-            .map(|(a, b)| (a.re as f64) * (b.re as f64) + (a.im as f64) * (b.im as f64))
-            .sum();
-
-        let mut ay = vec![0.0f32; h * w];
-        plan.adjoint(&mut y, &mut ay, &mut scratch).unwrap();
-        let rhs: f64 = x.iter().zip(&ay).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        assert!(
-            (lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0),
-            "adjoint identity violated: {lhs} vs {rhs}"
-        );
-    }
-
-    #[test]
-    fn scratch_reused_across_calls() {
+    fn scratch_is_never_grown() {
         let plan = RealFft2d::new(16, 16).unwrap();
         let img = image(16, 16);
         let mut half = vec![Complex::ZERO; plan.spectrum_len()];
         let mut out = vec![0.0f32; 256];
         let mut scratch = Vec::new();
-        plan.forward(&img, &mut half, &mut scratch).unwrap();
-        let cap = scratch.capacity();
         for _ in 0..3 {
             plan.forward(&img, &mut half, &mut scratch).unwrap();
             plan.inverse(&mut half, &mut out, &mut scratch).unwrap();
         }
-        assert_eq!(scratch.capacity(), cap);
+        assert_eq!(scratch.capacity(), 0);
     }
 }

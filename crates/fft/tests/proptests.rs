@@ -3,7 +3,8 @@
 //! The 1-D FFT and the packed real 2-D FFT are checked against a naive
 //! O(N²) DFT written in f64, over randomized power-of-two sizes up to 1024
 //! and randomized rectangular shapes, including the Hermitian-packing
-//! boundary columns.
+//! boundary columns. The real 2-D FFT's batched column pass is also checked
+//! bit for bit against per-column [`Fft1d`] transforms.
 
 use ganopc_fft::{spectrum, Complex, Direction, Fft1d, RealFft2d};
 use proptest::prelude::*;
@@ -24,6 +25,30 @@ fn sized_real_image() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
         let (h, w) = (1usize << hlog, 1usize << wlog);
         prop::collection::vec(-4.0f32..4.0, h * w).prop_map(move |img| (h, w, img))
     })
+}
+
+/// Random power-of-two rectangle (h in 1..=1024, w in 2..=256, at most 2^14
+/// samples) with a real image and an arbitrary packed half-spectrum.
+fn sized_image_and_spectrum() -> impl Strategy<Value = (usize, usize, Vec<f32>, Vec<Complex>)> {
+    (0u32..=10).prop_flat_map(|hlog| (Just(hlog), 1u32..=(14 - hlog).min(8))).prop_flat_map(
+        |(hlog, wlog)| {
+            let (h, w) = (1usize << hlog, 1usize << wlog);
+            (prop::collection::vec(-4.0f32..4.0, h * w), complex_vec(h * (w / 2 + 1)))
+                .prop_map(move |(img, spec)| (h, w, img, spec))
+        },
+    )
+}
+
+/// Runs `plan` down every column of a row-major `plan.len() × cols` block,
+/// one extracted column at a time.
+fn transform_each_column(plan: &Fft1d, block: &mut [Complex], cols: usize, dir: Direction) {
+    for c in 0..cols {
+        let mut col: Vec<Complex> = block.iter().skip(c).step_by(cols).copied().collect();
+        plan.transform(&mut col, dir).unwrap();
+        for (dst, v) in block.iter_mut().skip(c).step_by(cols).zip(col) {
+            *dst = v;
+        }
+    }
 }
 
 /// Naive O(N²) DFT in f64 — the reference implementation.
@@ -194,30 +219,44 @@ proptest! {
         }
     }
 
-    /// Adjoint identity ⟨Fx, Y⟩ = ⟨x, AᵀY⟩ for arbitrary packed Y.
+    /// The batched column pass is bit-identical to per-column 1-D
+    /// transforms: `forward` equals a one-row plan's forward on every row
+    /// followed by `Fft1d::transform` down every stored column, and `inverse`
+    /// equals the column transforms followed by a one-row plan's inverse on
+    /// every row (a one-row plan's column pass has length 1, a no-op).
     #[test]
-    fn rfft_adjoint_identity((h, w, img) in sized_real_image(), seed in 0u64..1024) {
+    fn rfft_column_pass_matches_per_column_fft1d(
+        (h, w, img, spec) in sized_image_and_spectrum()
+    ) {
         let plan = RealFft2d::new(h, w).unwrap();
-        let mut fx = vec![Complex::ZERO; plan.spectrum_len()];
+        let row_plan = RealFft2d::new(1, w).unwrap();
+        let col_plan = Fft1d::new(h).unwrap();
+        let hw = plan.half_width();
         let mut scratch = Vec::new();
-        plan.forward(&img, &mut fx, &mut scratch).unwrap();
-        let mut y: Vec<Complex> = (0..plan.spectrum_len())
-            .map(|i| {
-                let v = seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-                Complex::new(
-                    ((v >> 33) & 0xff) as f32 / 128.0 - 1.0,
-                    ((v >> 41) & 0xff) as f32 / 128.0 - 1.0,
-                )
-            })
-            .collect();
-        let lhs: f64 = fx.iter().zip(&y)
-            .map(|(a, b)| (a.re as f64) * (b.re as f64) + (a.im as f64) * (b.im as f64))
-            .sum();
-        let mut ay = vec![0.0f32; h * w];
-        plan.adjoint(&mut y, &mut ay, &mut scratch).unwrap();
-        let rhs: f64 = img.iter().zip(&ay).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        let scale = lhs.abs().max(rhs.abs()).max(1.0);
-        prop_assert!((lhs - rhs).abs() < 1e-3 * scale, "{h}x{w}: {lhs} vs {rhs}");
+        let bits = |v: &[Complex]| -> Vec<(u32, u32)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+
+        let mut got = vec![Complex::ZERO; plan.spectrum_len()];
+        plan.forward(&img, &mut got, &mut scratch).unwrap();
+        let mut want = vec![Complex::ZERO; plan.spectrum_len()];
+        for (src, row) in img.chunks_exact(w).zip(want.chunks_exact_mut(hw)) {
+            row_plan.forward(src, row, &mut scratch).unwrap();
+        }
+        transform_each_column(&col_plan, &mut want, hw, Direction::Forward);
+        prop_assert_eq!(bits(&got), bits(&want), "forward {}x{}", h, w);
+
+        let mut got = vec![0.0f32; h * w];
+        plan.inverse(&mut spec.clone(), &mut got, &mut scratch).unwrap();
+        let mut half = spec;
+        transform_each_column(&col_plan, &mut half, hw, Direction::Inverse);
+        let mut want = vec![0.0f32; h * w];
+        for (row, dst) in half.chunks_exact_mut(hw).zip(want.chunks_exact_mut(w)) {
+            row_plan.inverse(row, dst, &mut scratch).unwrap();
+        }
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want, "inverse {}x{}", h, w);
     }
 
     /// 2-D convolution theorem: spatial cyclic convolution equals

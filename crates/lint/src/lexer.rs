@@ -7,7 +7,7 @@
 //! lifetimes-vs-char-literals. It deliberately does not build an AST —
 //! the workspace compiles offline against `vendor/`, so pulling in `syn`
 //! is not an option, and the rules only ever need token adjacency plus
-//! brace-depth tracking (see [`crate::scope`]).
+//! brace-depth tracking (see [`crate::rules`]).
 
 /// Token classes the rules care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

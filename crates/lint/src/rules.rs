@@ -1,7 +1,7 @@
 //! The six workspace invariant rules, evaluated over a lexed file.
 //!
 //! Rules are token-pattern matches scoped by a light structural pass
-//! ([`FileModel`]) that tracks `#[cfg(test)]`/`#[test]` regions, attribute
+//! (`FileModel`) that tracks `#[cfg(test)]`/`#[test]` regions, attribute
 //! spans, function bodies, and the lint marker comments:
 //!
 //! * `// lint: hot-path` — marks the next `fn` (or, before any code, the

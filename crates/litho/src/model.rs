@@ -40,6 +40,14 @@ fn with_field_slots<R>(n: usize, f: impl FnOnce(&mut Vec<KernelFields>) -> R) ->
     })
 }
 
+/// The scratch argument [`RealFft2d::forward`] and [`RealFft2d::inverse`]
+/// take and never read: an empty `Vec`, which they never grow.
+// lint: hot-path
+fn unused_scratch() -> Vec<Complex> {
+    // ALLOC: `Vec::new` does not allocate, and the transforms never grow it.
+    Vec::new()
+}
+
 /// A planned lithography simulator for one frame size.
 ///
 /// Holds the SOCS kernel stack embedded as frame-sized packed half-spectra,
@@ -281,16 +289,28 @@ impl LithoModel {
         Ok(())
     }
 
+    /// Forward real FFT of a frame-sized `real` field into the packed
+    /// half-spectrum `half`.
+    // lint: hot-path
+    fn rfft_forward(&self, real: &[f32], half: &mut [Complex]) {
+        // PANIC: every caller sizes its buffers from this plan.
+        self.rfft.forward(real, half, &mut unused_scratch()).expect("planned size");
+    }
+
+    /// Inverse real FFT of the packed half-spectrum `half` (destroyed) into
+    /// the frame-sized `real` field.
+    // lint: hot-path
+    fn rfft_inverse(&self, half: &mut [Complex], real: &mut [f32]) {
+        // PANIC: every caller sizes its buffers from this plan.
+        self.rfft.inverse(half, real, &mut unused_scratch()).expect("planned size");
+    }
+
     /// Packed half-spectrum of a real mask, reused across kernels. The
     /// returned buffer belongs to the arena; callers put it back when done.
     // lint: hot-path
     fn mask_half(&self, mask: &Field) -> Vec<Complex> {
-        let slen = self.rfft.spectrum_len();
-        let mut out = self.arena.take_complex(slen);
-        let mut scratch = self.arena.take_complex(slen);
-        // PANIC: buffers were sized from this plan two lines above.
-        self.rfft.forward(mask.as_slice(), &mut out, &mut scratch).expect("planned size");
-        self.arena.put_complex(scratch);
+        let mut out = self.arena.take_complex(self.rfft.spectrum_len());
+        self.rfft_forward(mask.as_slice(), &mut out);
         out
     }
 
@@ -299,15 +319,11 @@ impl LithoModel {
     /// returned field, which the caller releases.
     // lint: hot-path
     fn component_field(&self, mask_half: &[Complex], comp: &[Complex]) -> Vec<f32> {
-        let slen = self.rfft.spectrum_len();
-        let mut prod = self.arena.take_complex(slen);
-        let mut scratch = self.arena.take_complex(slen);
+        let mut prod = self.arena.take_complex(self.rfft.spectrum_len());
         spectrum::mul_into(&mut prod, mask_half, comp);
         let mut out = self.arena.take_real(self.height * self.width);
-        // PANIC: buffers were sized from this plan a few lines above.
-        self.rfft.inverse(&mut prod, &mut out, &mut scratch).expect("planned size");
+        self.rfft_inverse(&mut prod, &mut out);
         self.arena.put_complex(prod);
-        self.arena.put_complex(scratch);
         out
     }
 
@@ -375,10 +391,10 @@ impl LithoModel {
     fn prime_arena(&self) {
         let kernels = self.spectra.len();
         let lanes = if pool::in_worker() { 1 } else { pool::max_threads().min(kernels.max(1)) };
-        // Complex peak: the gradient stage holds 3 spectra per active chunk
-        // (w_spec/tmp/scratch); the convolve stage holds the mask spectrum
-        // plus 2 per chunk — 3·lanes covers both for lanes ≥ 1.
-        self.arena.reserve_complex(3 * lanes, self.rfft.spectrum_len());
+        // Complex peak: the gradient stage holds 2 spectra per active chunk
+        // (w_spec/tmp); the convolve stage holds the mask spectrum plus
+        // `prod` per chunk — 2·lanes covers both for lanes ≥ 1.
+        self.arena.reserve_complex(2 * lanes, self.rfft.spectrum_len());
         // Real peak: 2 component fields per kernel + intensity/g + one
         // per-chunk product buffer.
         self.arena.reserve_real(2 * kernels + 2 + lanes, self.height * self.width);
@@ -573,7 +589,6 @@ impl LithoModel {
                     let ks = &self.spectra[ki].1;
                     let mut w_spec = self.arena.take_complex(slen);
                     let mut tmp = self.arena.take_complex(slen);
-                    let mut scratch = self.arena.take_complex(slen);
                     let mut u = self.arena.take_real(n);
                     let mut wrote = false;
                     for (comp, half) in [(&p, ks.re_spectrum()), (&q, ks.im_spectrum())] {
@@ -581,8 +596,7 @@ impl LithoModel {
                         for ((ui, &fi), &gi) in u.iter_mut().zip(field.iter()).zip(g_ref.iter()) {
                             *ui = gi * fi;
                         }
-                        // PANIC: buffers were sized from this plan above.
-                        self.rfft.forward(&u, &mut tmp, &mut scratch).expect("planned size");
+                        self.rfft_forward(&u, &mut tmp);
                         if wrote {
                             spectrum::mul_conj_add_into(&mut w_spec, &tmp, half);
                         } else {
@@ -596,17 +610,13 @@ impl LithoModel {
                     self.arena.put_complex(tmp);
                     slot.0 = if wrote {
                         let mut gk = u; // reuse as the real output buffer
-                        self.rfft
-                            .inverse(&mut w_spec, &mut gk, &mut scratch)
-                            // PANIC: buffers were sized from this plan above.
-                            .expect("planned size");
+                        self.rfft_inverse(&mut w_spec, &mut gk);
                         Some(gk)
                     } else {
                         self.arena.put_real(u);
                         None
                     };
                     self.arena.put_complex(w_spec);
-                    self.arena.put_complex(scratch);
                 }
             });
             grad.fill(0.0);

@@ -302,7 +302,7 @@ pub fn epe_trace_stride() -> usize {
     EPE_TRACE_STRIDE.load(Relaxed)
 }
 
-/// Enables ([`stride > 0`]) or disables (0, the default) the per-iteration
+/// Enables (`stride > 0`) or disables (0, the default) the per-iteration
 /// EPE trace inside ILT refinement. EPE sampling simulates an extra aerial
 /// image per sampled iteration, so it is opt-in (the CLI turns it on when
 /// `--metrics-json` is given).

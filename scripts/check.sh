@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings denied: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> ganopc-lint (workspace invariants)"
 cargo run --release -p ganopc-lint
 
