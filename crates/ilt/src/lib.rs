@@ -649,6 +649,45 @@ mod tests {
         assert!(gap(control) > TOLERANCE, "control without β passed: fd {fd} vs {control}");
     }
 
+    /// A seeded run driven into non-improvement: step size 2 overshoots, and
+    /// a `−∞` tolerance turns the relative-improvement stop off, so only the
+    /// stall guard can end the run early. Measured: the best error comes at
+    /// index 32 and the guard stops the run at iteration 41. (Steps of 8
+    /// and above diverge from the first step, with the best error at index
+    /// 0, which tests less.)
+    #[test]
+    fn stall_guard_returns_best_mask_seen() {
+        let cfg = IltConfig {
+            max_iterations: 200,
+            step_size: 2.0,
+            tolerance: f64::NEG_INFINITY,
+            patience: 2,
+            ..IltConfig::fast()
+        };
+        let stall_window = (4 * cfg.patience).max(8);
+        let mut engine = IltEngine::new(small_model(), cfg.clone());
+        let target = cross_target();
+        let result = engine.optimize(&target).unwrap();
+        let history = &result.l2_history;
+        let (best_index, &best) = history
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .expect("at least one iteration");
+        println!(
+            "stall guard: best error {best} at index {best_index}, stopped at iteration {}",
+            result.iterations
+        );
+        assert!(result.iterations < cfg.max_iterations, "the guard never fired");
+        assert_eq!(history.len() - 1 - best_index, stall_window, "guard fired off its window");
+        assert!(best_index > 0, "the run never improved on its start, a weaker case");
+        // The returned relaxed mask is σ(β·P) at the best iterate, so it
+        // re-evaluates to exactly the best error.
+        let mut grad = vec![0.0f32; result.mask_relaxed.len()];
+        let error = engine.model().gradient_into(&result.mask_relaxed, &target, 1.0, &mut grad);
+        assert_eq!(error.unwrap(), best, "the result is not the best mask seen");
+    }
+
     #[test]
     fn config_presets_validate() {
         for cfg in [IltConfig::mosaic(), IltConfig::refinement(), IltConfig::fast()] {

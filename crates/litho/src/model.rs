@@ -8,18 +8,19 @@ use ganopc_fft::{Arena, Complex, RealFft2d};
 use ganopc_nn::pool;
 use ganopc_obs as obs;
 
-/// Real and imaginary component fields `(p_k, q_k)` of one kernel
-/// convolution; `None` where the kernel component was dropped as
-/// numerically zero.
-type KernelFields = (Option<Vec<f32>>, Option<Vec<f32>>);
+/// One kernel's slot: the real and imaginary component fields `(p_k, q_k)`
+/// of its convolution (`None` where the kernel component was dropped as
+/// numerically zero), then its weighted Eq. (14) adjoint half-spectrum
+/// (`None` outside the gradient's adjoint stage).
+type KernelFields = (Option<Vec<f32>>, Option<Vec<f32>>, Option<Vec<Complex>>);
 
 thread_local! {
-    /// Per-thread slot list for per-kernel convolved fields. The slots are
-    /// reused across every aerial/gradient evaluation on this thread (the
-    /// field buffers themselves come from the model's arena), so the hot
-    /// paths materialize no per-call job or result vectors. Thread-local
-    /// because pre-training runs whole gradient evaluations concurrently on
-    /// pool workers, each needing its own slot list.
+    /// Per-thread slot list for per-kernel convolved fields and adjoint
+    /// spectra. The slots are reused across every aerial/gradient evaluation
+    /// on this thread (the buffers themselves come from the model's arena),
+    /// so the hot paths materialize no per-call job or result vectors.
+    /// Thread-local because pre-training runs whole gradient evaluations
+    /// concurrently on pool workers, each needing its own slot list.
     static FIELD_SLOTS: std::cell::RefCell<Vec<KernelFields>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -35,7 +36,7 @@ fn with_field_slots<R>(n: usize, f: impl FnOnce(&mut Vec<KernelFields>) -> R) ->
             // (one entry per SOCS kernel, ~24).
             slots.reserve(n);
         }
-        slots.resize_with(n, || (None, None));
+        slots.resize_with(n, || (None, None, None));
         f(&mut slots)
     })
 }
@@ -345,7 +346,7 @@ impl LithoModel {
                 let q = ks.im_spectrum().map(|i| self.component_field(mask_half, i));
                 // SAFETY: run_chunks kernel ranges partition the slot list,
                 // so slot ki is written by exactly this chunk.
-                *unsafe { slots.index_mut(ki) } = (p, q);
+                *unsafe { slots.index_mut(ki) } = (p, q, None);
             }
         });
     }
@@ -354,7 +355,7 @@ impl LithoModel {
     /// kernel order so the result does not depend on the worker count.
     // lint: hot-path
     fn accumulate_intensity(&self, fields: &[KernelFields], intensity: &mut [f32]) {
-        for ((w, _), (p, q)) in self.spectra.iter().zip(fields) {
+        for ((w, _), (p, q, _)) in self.spectra.iter().zip(fields) {
             for comp in [p, q].into_iter().flatten() {
                 for (acc, &v) in intensity.iter_mut().zip(comp.iter()) {
                     *acc += w * v * v;
@@ -365,7 +366,7 @@ impl LithoModel {
 
     /// Returns convolved-field buffers to the arena, emptying the slots.
     fn release_fields(&self, fields: &mut [KernelFields]) {
-        for (p, q) in fields {
+        for (p, q, _) in fields {
             for comp in [p.take(), q.take()].into_iter().flatten() {
                 self.arena.put_real(comp);
             }
@@ -391,13 +392,21 @@ impl LithoModel {
     fn prime_arena(&self) {
         let kernels = self.spectra.len();
         let lanes = if pool::in_worker() { 1 } else { pool::max_threads().min(kernels.max(1)) };
-        // Complex peak: the gradient stage holds 2 spectra per active chunk
-        // (w_spec/tmp); the convolve stage holds the mask spectrum plus
-        // `prod` per chunk — 2·lanes covers both for lanes ≥ 1.
-        self.arena.reserve_complex(2 * lanes, self.rfft.spectrum_len());
-        // Real peak: 2 component fields per kernel + intensity/g + one
-        // per-chunk product buffer.
-        self.arena.reserve_real(2 * kernels + 2 + lanes, self.height * self.width);
+        // Complex peak: the adjoint stage stores one spectrum per kernel
+        // (those still being written included) plus one `tmp` per active
+        // chunk; the final sum buffer fits once the `tmp`s are back, and the
+        // convolve stage's mask spectrum plus one `prod` per chunk fits too.
+        self.arena.reserve_complex(kernels + lanes, self.rfft.spectrum_len());
+        // Real peak: the component fields the kernels store + intensity/g +
+        // one per-chunk product buffer.
+        let components: usize = self
+            .spectra
+            .iter()
+            .map(|(_, ks)| {
+                usize::from(ks.re_spectrum().is_some()) + usize::from(ks.im_spectrum().is_some())
+            })
+            .sum();
+        self.arena.reserve_real(components + 2 + lanes, self.height * self.width);
     }
 
     /// Aerial image `I = Σ_k w_k |M ⊗ h_k|²` at nominal dose (Eq. (2)).
@@ -570,14 +579,15 @@ impl LithoModel {
 
             // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
             // A_k = p + i·q and H_k = R + i·I (half-spectra of the kernel's real
-            // components), the real part collapses to a single Hermitian inverse:
-            // grad_k = 2 w_k · c2r( P ⊙ conj(R) + Q ⊙ conj(I) ), P = r2c(g⊙p),
-            // Q = r2c(g⊙q) — one c2r per kernel instead of a full complex
-            // round-trip. Kernel indices fan out over the pool through the
-            // allocation-free run_chunks path; each job consumes its slot's
-            // convolved fields and leaves the kernel's gradient contribution in
-            // the slot, reduced below in kernel order so the gradient bits do
-            // not depend on how many workers ran.
+            // components), the real part collapses to a Hermitian inverse, and
+            // because c2r is linear the kernels share one:
+            // grad = c2r( Σ_k 2w_k (P_k ⊙ conj(R_k) + Q_k ⊙ conj(I_k)) ),
+            // P_k = r2c(g⊙p_k), Q_k = r2c(g⊙q_k) — one c2r per gradient instead
+            // of one per kernel. Kernel indices fan out over the pool through
+            // the allocation-free run_chunks path; each job consumes its slot's
+            // convolved fields and leaves the kernel's weighted adjoint
+            // half-spectrum in the slot, summed below in kernel order so the
+            // gradient bits do not depend on how many workers ran.
             let g_ref = &g;
             let slots = pool::DisjointMut::new(&mut fields[..]);
             pool::run_chunks(self.spectra.len(), |kernels| {
@@ -586,7 +596,7 @@ impl LithoModel {
                     // so slot ki is owned by exactly this chunk.
                     let slot = unsafe { slots.index_mut(ki) };
                     let (p, q) = (slot.0.take(), slot.1.take());
-                    let ks = &self.spectra[ki].1;
+                    let (w, ks) = &self.spectra[ki];
                     let mut w_spec = self.arena.take_complex(slen);
                     let mut tmp = self.arena.take_complex(slen);
                     let mut u = self.arena.take_real(n);
@@ -608,26 +618,29 @@ impl LithoModel {
                         self.arena.put_real(comp);
                     }
                     self.arena.put_complex(tmp);
-                    slot.0 = if wrote {
-                        let mut gk = u; // reuse as the real output buffer
-                        self.rfft_inverse(&mut w_spec, &mut gk);
-                        Some(gk)
+                    self.arena.put_real(u);
+                    slot.2 = if wrote {
+                        let s = 2.0 * w;
+                        for c in w_spec.iter_mut() {
+                            *c = c.scale(s);
+                        }
+                        Some(w_spec)
                     } else {
-                        self.arena.put_real(u);
+                        self.arena.put_complex(w_spec);
                         None
                     };
-                    self.arena.put_complex(w_spec);
                 }
             });
-            grad.fill(0.0);
-            for ((w, _), slot) in self.spectra.iter().zip(fields.iter_mut()) {
-                let Some(gk) = slot.0.take() else { continue };
-                let s = 2.0 * w;
-                for (go, &c) in grad.iter_mut().zip(gk.iter()) {
-                    *go += s * c;
+            let mut sum = self.arena.take_complex(slen);
+            for slot in fields.iter_mut() {
+                let Some(w_spec) = slot.2.take() else { continue };
+                for (acc, &c) in sum.iter_mut().zip(w_spec.iter()) {
+                    *acc += c;
                 }
-                self.arena.put_real(gk);
+                self.arena.put_complex(w_spec);
             }
+            self.rfft_inverse(&mut sum, grad);
+            self.arena.put_complex(sum);
             self.arena.put_real(g);
             self.arena.put_real(intensity);
             Ok(error)
@@ -639,11 +652,15 @@ impl LithoModel {
 mod tests {
     use super::*;
 
-    fn small_model() -> LithoModel {
+    fn small_config() -> OpticalConfig {
         let mut cfg = OpticalConfig::default_32nm(16.0);
         cfg.pupil_grid = 11;
         cfg.num_kernels = 8;
-        LithoModel::new(cfg, 64, 64).unwrap()
+        cfg
+    }
+
+    fn small_model() -> LithoModel {
+        LithoModel::new(small_config(), 64, 64).unwrap()
     }
 
     fn line_mask(h: usize, w: usize, x0: usize, x1: usize, y0: usize, y1: usize) -> Field {
@@ -877,24 +894,34 @@ mod tests {
 
     #[test]
     fn hot_paths_do_not_allocate_when_warm() {
-        let model = small_model();
-        let mask = line_mask(64, 64, 28, 36, 16, 48);
-        let target = line_mask(64, 64, 30, 34, 18, 46);
-        let mut grad = vec![0.0f32; 64 * 64];
-        // Warm-up (small_model's threshold calibration already primed the
-        // aerial path; the gradient path fills in the rest).
-        let _ = model.aerial_image(&mask);
-        model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap();
-        let warm = model.scratch_allocations();
-        for _ in 0..5 {
-            let _ = model.aerial_image(&mask);
-            model.gradient_into(&mask, &target, 1.02, &mut grad).unwrap();
-            model.gradient_into(&mask, &target, 0.98, &mut grad).unwrap();
+        // In focus every kernel stores one component; 60 nm out of focus
+        // every kernel stores two, so the real reserve counts 2K fields.
+        let defocused = LithoModel::new(small_config().with_defocus(60.0), 64, 64).unwrap();
+        for model in [small_model(), defocused] {
+            let defocus = model.config().defocus_nm;
+            let mask = line_mask(64, 64, 28, 36, 16, 48);
+            let target = line_mask(64, 64, 30, 34, 18, 46);
+            let mut grad = vec![0.0f32; 64 * 64];
+            // The reserve alone must cover a gradient's peak at any worker
+            // count, so not even the first call after priming misses.
+            model.prime_arena();
+            let primed = model.scratch_allocations();
+            model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap();
+            assert_eq!(
+                model.scratch_allocations(),
+                primed,
+                "defocus {defocus} nm: the primed arena missed on the first gradient"
+            );
+            for _ in 0..5 {
+                let _ = model.aerial_image(&mask);
+                model.gradient_into(&mask, &target, 1.02, &mut grad).unwrap();
+                model.gradient_into(&mask, &target, 0.98, &mut grad).unwrap();
+            }
+            assert_eq!(
+                model.scratch_allocations(),
+                primed,
+                "defocus {defocus} nm: steady-state hot paths must not miss the scratch arena"
+            );
         }
-        assert_eq!(
-            model.scratch_allocations(),
-            warm,
-            "steady-state hot paths must not miss the scratch arena"
-        );
     }
 }

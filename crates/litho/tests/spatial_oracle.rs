@@ -11,14 +11,17 @@
 //! * `Z = σ(α(dose·I − I_th))`, `g = 2α·dose·(Z − Z_t)·Z·(1 − Z)`;
 //! * `∂E/∂M[n] = Σ_k 2 w_k Re Σ_m g[m]·conj(A_k[m])·h_k[m − n]`.
 //!
-//! Errors are reported relative to the oracle's largest magnitude. On a
-//! 32 px frame at 32 nm/px (8 kernels, 25×25-tap support), at doses 1 and
-//! 0.95, the worst relative errors measured were 5.8e-7 for the aerial
-//! image, 8.4e-7 for the error `E` and 4.2e-6 for the gradient. The
-//! tolerances below sit about 12× above each. Scaling one kernel weight by
-//! 1.01 in the oracle moves the aerial image by 9.9e-3 and the gradient by
-//! 6.5e-2 relative, far outside them: that negative control shows the
-//! tolerances can fail.
+//! Errors are reported relative to the oracle's largest magnitude. Both
+//! tests run twice on a 32 px frame at 32 nm/px (8 kernels, 25×25-tap
+//! support): in focus, where every kernel stores one component, and 60 nm
+//! out of focus, where all 8 store two, so the model's gradient sums
+//! both the `R_k` and the `I_k` adjoint terms. At doses 1 and 0.95 the worst
+//! relative errors measured were 5.8e-7 for the aerial image, 8.4e-7 for
+//! the error `E` and 4.4e-6 for the gradient. The tolerances below sit
+//! about 11× above each. Scaling one kernel weight by 1.01 in the oracle
+//! moves the aerial image by 9.8e-3 and the gradient by 6.5e-2 to 9.7e-2
+//! relative, far outside them: that negative control shows the tolerances
+//! can fail.
 
 use ganopc_fft::Complex;
 use ganopc_litho::{Field, LithoModel, OpticalConfig, SocsKernels};
@@ -30,11 +33,15 @@ const AERIAL_TOLERANCE: f64 = 1e-5;
 /// Relative tolerance for the Eq. (14) gradient.
 const GRADIENT_TOLERANCE: f64 = 5e-5;
 
-fn model() -> LithoModel {
+/// The two models both tests run on: in focus, where every SOCS kernel is
+/// near-pure real or imaginary and stores one component, and defocused by
+/// 60 nm, where the pupil's phase gives every kernel both components.
+fn models() -> [(&'static str, LithoModel); 2] {
     let mut cfg = OpticalConfig::default_32nm(32.0);
     cfg.pupil_grid = 11;
     cfg.num_kernels = 8;
-    LithoModel::new(cfg, SIZE, SIZE).unwrap()
+    let build = |cfg| LithoModel::new(cfg, SIZE, SIZE).unwrap();
+    [("in focus", build(cfg.clone())), ("defocus 60 nm", build(cfg.with_defocus(60.0)))]
 }
 
 /// One SOCS kernel in f64: weight, odd support size and row-major taps.
@@ -185,25 +192,58 @@ fn evaluate(
     (aerial, grad, error)
 }
 
+/// How many kernels keep both a real and an imaginary component under the
+/// model's drop rule: a component is kept when its largest tap exceeds 1e-6
+/// of the kernel's largest tap.
+fn two_component_kernels(kernels: &[Kernel]) -> usize {
+    kernels
+        .iter()
+        .filter(|k| {
+            let peak_of = |part: fn(&(f64, f64)) -> f64| {
+                k.taps.iter().map(|t| part(t).abs()).fold(0.0f64, f64::max)
+            };
+            let (re, im) = (peak_of(|t| t.0), peak_of(|t| t.1));
+            let cutoff = 1e-6 * re.max(im);
+            re > cutoff && im > cutoff
+        })
+        .count()
+}
+
 #[test]
 fn aerial_and_gradient_match_spatial_oracle() {
-    let model = model();
-    let kernels = kernels(&model);
-    assert_eq!(kernels.len(), model.num_kernels());
-    let (mask, target) = inputs();
-    for dose in [1.0f32, 0.95] {
-        let (aerial, grad, error) = evaluate(&model, &mask, &target, dose);
-        let reference = oracle(&model, &kernels, &mask, &target, dose as f64);
-        let aerial_err = relative_error(&aerial, &reference.aerial);
-        let grad_err = relative_error(&grad, &reference.grad);
-        let error_err = (error - reference.error).abs() / reference.error;
-        println!(
-            "dose {dose}: aerial rel err {aerial_err:.2e}, gradient rel err {grad_err:.2e}, \
-             E rel err {error_err:.2e}"
-        );
-        assert!(aerial_err < AERIAL_TOLERANCE, "dose {dose}: aerial off by {aerial_err:.2e}");
-        assert!(grad_err < GRADIENT_TOLERANCE, "dose {dose}: gradient off by {grad_err:.2e}");
-        assert!(error_err < AERIAL_TOLERANCE, "dose {dose}: error off by {error_err:.2e}");
+    for (name, model) in models() {
+        let kernels = kernels(&model);
+        assert_eq!(kernels.len(), model.num_kernels());
+        let both = two_component_kernels(&kernels);
+        println!("{name}: {both} of {} kernels store both components", kernels.len());
+        // Each case must reach the branch it is there for: one component per
+        // kernel in focus, both (the `mul_conj_add_into` path) out of it.
+        let expect_both = if model.config().defocus_nm == 0.0 { 0 } else { kernels.len() };
+        assert_eq!(both, expect_both, "{name}: component split changed");
+        let (mask, target) = inputs();
+        for dose in [1.0f32, 0.95] {
+            let (aerial, grad, error) = evaluate(&model, &mask, &target, dose);
+            let reference = oracle(&model, &kernels, &mask, &target, dose as f64);
+            let aerial_err = relative_error(&aerial, &reference.aerial);
+            let grad_err = relative_error(&grad, &reference.grad);
+            let error_err = (error - reference.error).abs() / reference.error;
+            println!(
+                "{name}, dose {dose}: aerial rel err {aerial_err:.2e}, gradient rel err \
+                 {grad_err:.2e}, E rel err {error_err:.2e}"
+            );
+            assert!(
+                aerial_err < AERIAL_TOLERANCE,
+                "{name}, dose {dose}: aerial off by {aerial_err:.2e}"
+            );
+            assert!(
+                grad_err < GRADIENT_TOLERANCE,
+                "{name}, dose {dose}: gradient off by {grad_err:.2e}"
+            );
+            assert!(
+                error_err < AERIAL_TOLERANCE,
+                "{name}, dose {dose}: error off by {error_err:.2e}"
+            );
+        }
     }
 }
 
@@ -211,20 +251,26 @@ fn aerial_and_gradient_match_spatial_oracle() {
 fn perturbed_oracle_fails_the_tolerance() {
     // Negative control: a 1 % change to one kernel weight must be visible
     // at the tolerances the agreement test uses, for both quantities.
-    let model = model();
-    let mut kernels = kernels(&model);
-    kernels[0].weight *= 1.01;
-    let (mask, target) = inputs();
-    for dose in [1.0f32, 0.95] {
-        let (aerial, grad, _) = evaluate(&model, &mask, &target, dose);
-        let reference = oracle(&model, &kernels, &mask, &target, dose as f64);
-        let aerial_err = relative_error(&aerial, &reference.aerial);
-        let grad_err = relative_error(&grad, &reference.grad);
-        println!("dose {dose}: perturbed aerial {aerial_err:.2e}, gradient {grad_err:.2e}");
-        assert!(aerial_err > AERIAL_TOLERANCE, "dose {dose}: perturbation invisible in the aerial");
-        assert!(
-            grad_err > GRADIENT_TOLERANCE,
-            "dose {dose}: perturbation invisible in the gradient"
-        );
+    for (name, model) in models() {
+        let mut kernels = kernels(&model);
+        kernels[0].weight *= 1.01;
+        let (mask, target) = inputs();
+        for dose in [1.0f32, 0.95] {
+            let (aerial, grad, _) = evaluate(&model, &mask, &target, dose);
+            let reference = oracle(&model, &kernels, &mask, &target, dose as f64);
+            let aerial_err = relative_error(&aerial, &reference.aerial);
+            let grad_err = relative_error(&grad, &reference.grad);
+            println!(
+                "{name}, dose {dose}: perturbed aerial {aerial_err:.2e}, gradient {grad_err:.2e}"
+            );
+            assert!(
+                aerial_err > AERIAL_TOLERANCE,
+                "{name}, dose {dose}: perturbation invisible in the aerial"
+            );
+            assert!(
+                grad_err > GRADIENT_TOLERANCE,
+                "{name}, dose {dose}: perturbation invisible in the gradient"
+            );
+        }
     }
 }
