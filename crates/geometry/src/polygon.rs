@@ -12,11 +12,19 @@ use std::fmt;
 /// One scanline band of a polygon interior: `(y_lo, y_hi, x-intervals)`.
 type ScanBand = (i64, i64, Vec<(i64, i64)>);
 
+/// Most vertices [`Polygon::new`] accepts. The scanline pass costs about
+/// `O(n³)` time and `O(n²)` memory on a staircase comb, so this bounds the
+/// work one hostile `poly` line can cause; the Table 1 shapes have about a
+/// dozen vertices.
+const MAX_VERTICES: usize = 1024;
+
 /// Errors from polygon validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolygonError {
     /// Fewer than 4 vertices.
     TooFewVertices(usize),
+    /// More than 1 024 vertices.
+    TooManyVertices(usize),
     /// An edge is neither horizontal nor vertical.
     NotRectilinear {
         /// Index of the offending edge (from vertex `i` to `i+1`).
@@ -36,6 +44,9 @@ impl fmt::Display for PolygonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PolygonError::TooFewVertices(n) => write!(f, "polygon needs >= 4 vertices, got {n}"),
+            PolygonError::TooManyVertices(n) => {
+                write!(f, "polygon has {n} vertices, more than the {MAX_VERTICES} accepted")
+            }
             PolygonError::NotRectilinear { edge } => {
                 write!(f, "edge {edge} is neither horizontal nor vertical")
             }
@@ -71,9 +82,13 @@ impl Polygon {
     ///
     /// # Errors
     ///
-    /// Returns [`PolygonError`] for outlines that are too short, contain
-    /// diagonal or zero-length edges, or self-intersect.
+    /// Returns [`PolygonError`] for outlines that are too short or too long
+    /// (more than 1 024 vertices), contain diagonal or zero-length edges, or
+    /// self-intersect.
     pub fn new(vertices: Vec<(i64, i64)>) -> Result<Self, PolygonError> {
+        if vertices.len() > MAX_VERTICES {
+            return Err(PolygonError::TooManyVertices(vertices.len()));
+        }
         if vertices.len() < 4 {
             return Err(PolygonError::TooFewVertices(vertices.len()));
         }
@@ -321,5 +336,6 @@ mod tests {
     fn display_of_errors() {
         assert!(PolygonError::SelfIntersecting.to_string().contains("self-intersects"));
         assert!(PolygonError::TooFewVertices(2).to_string().contains("got 2"));
+        assert!(PolygonError::TooManyVertices(1028).to_string().contains("1028 vertices"));
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! * `frame x0 y0 x1 y1` — required, once, before any shape;
 //! * `rect x0 y0 x1 y1` — an axis-aligned rectangle;
-//! * `poly x,y x,y ...` — a rectilinear polygon (decomposed into
-//!   rectangles on load).
+//! * `poly x,y x,y ...` — a rectilinear polygon of at most 1 024 vertices
+//!   (decomposed into rectangles on load).
 //!
 //! Coordinates are integers in nanometers within ±2^30 (about ±1 m), so
 //! every width, height and area the layout derives fits in an `i64`.
@@ -251,6 +251,39 @@ rect 500 500 580 900
         match parse_layout(text) {
             Err(ParseLayoutError::Polygon { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected polygon error, got {other:?}"),
+        }
+    }
+
+    /// A `poly` line drawing a comb of `teeth` teeth on a base bar (4
+    /// vertices per tooth), and the comb's area.
+    fn comb_line(teeth: i64) -> (String, i64) {
+        let (width, gap, base, height) = (8, 8, 16, 40);
+        let right = teeth * (width + gap) - gap;
+        let mut line = format!("poly 0,0 {right},0");
+        for t in (0..teeth).rev() {
+            let x0 = t * (width + gap);
+            line += &format!(" {},{} {x0},{}", x0 + width, base + height, base + height);
+            if t > 0 {
+                line += &format!(" {x0},{base} {},{base}", x0 - gap);
+            }
+        }
+        (line, right * base + teeth * width * height)
+    }
+
+    #[test]
+    fn polygon_vertex_count_is_bounded() {
+        let (line, area) = comb_line(256);
+        assert_eq!(line.split_whitespace().count() - 1, 1024);
+        let clip = parse_layout(&format!("frame 0 0 8192 8192\n{line}\n")).unwrap();
+        assert_eq!(clip.pattern_area(), area);
+
+        let (line, _) = comb_line(257);
+        match parse_layout(&format!("frame 0 0 8192 8192\n{line}\n")) {
+            Err(ParseLayoutError::Polygon {
+                line: 2,
+                source: PolygonError::TooManyVertices(1028),
+            }) => {}
+            other => panic!("expected TooManyVertices(1028) on line 2, got {other:?}"),
         }
     }
 

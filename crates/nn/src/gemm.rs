@@ -74,42 +74,6 @@ thread_local! {
     static STRIPE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `C[m×n] = A[m×k] · B[k×n]` into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics when the buffer sizes disagree with the dimensions.
-// lint: cold
-pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_into(&mut c, a, b, m, k, n);
-    c
-}
-
-/// `C[m×n] = Aᵀ · B[k×n]` where `A` is stored `[k×m]`, into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics when the buffer sizes disagree with the dimensions.
-// lint: cold
-pub fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_tn_into(&mut c, a, b, m, k, n);
-    c
-}
-
-/// `C[m×n] = A[m×k] · Bᵀ` where `B` is stored `[n×k]`, into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics when the buffer sizes disagree with the dimensions.
-// lint: cold
-pub fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_nt_into(&mut c, a, b, m, k, n);
-    c
-}
-
 /// `C[m×n] = A[m×k] · B[k×n]` written into `c` (overwritten, not accumulated).
 pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "lhs size mismatch");
@@ -387,7 +351,11 @@ mod tests {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
             let expect = reference_nn(&a, &b, m, k, n);
-            assert_close(&matmul(&a, &b, m, k, n), &expect);
+            // Every product writes into NaN: an element the kernel
+            // accumulated into instead of overwriting would stay NaN.
+            let mut c = vec![f32::NAN; m * n];
+            matmul_into(&mut c, &a, &b, m, k, n);
+            assert_close(&c, &expect);
 
             // Aᵀ stored [k×m]: transpose `a` into `at`.
             let mut at = vec![0.0f32; k * m];
@@ -396,7 +364,9 @@ mod tests {
                     at[p * m + i] = a[i * k + p];
                 }
             }
-            assert_close(&matmul_tn(&at, &b, m, k, n), &expect);
+            c.fill(f32::NAN);
+            matmul_tn_into(&mut c, &at, &b, m, k, n);
+            assert_close(&c, &expect);
 
             // Bᵀ stored [n×k]: transpose `b` into `bt`.
             let mut bt = vec![0.0f32; n * k];
@@ -405,18 +375,10 @@ mod tests {
                     bt[j * k + p] = b[p * n + j];
                 }
             }
-            assert_close(&matmul_nt(&a, &bt, m, k, n), &expect);
+            c.fill(f32::NAN);
+            matmul_nt_into(&mut c, &a, &bt, m, k, n);
+            assert_close(&c, &expect);
         }
-    }
-
-    #[test]
-    fn into_variants_overwrite_existing_contents() {
-        let (m, k, n) = (5, 9, 8);
-        let a = fill(m * k, 3);
-        let b = fill(k * n, 4);
-        let mut c = vec![7.5f32; m * n];
-        matmul_into(&mut c, &a, &b, m, k, n);
-        assert_close(&c, &reference_nn(&a, &b, m, k, n));
     }
 
     #[test]
@@ -428,7 +390,8 @@ mod tests {
         let b = fill(k * n, 6);
         let mut serial = vec![0.0f32; m * n];
         with_pack(|pack| gemm_block(Layout::NN, &a, &b, m, k, n, 0, m, 0, n, &mut serial, n, pack));
-        let parallel = matmul(&a, &b, m, k, n);
+        let mut parallel = vec![f32::NAN; m * n];
+        matmul_into(&mut parallel, &a, &b, m, k, n);
         assert_eq!(serial, parallel);
     }
 
@@ -447,7 +410,9 @@ mod tests {
                     bt[j * k + p] = b[p * n + j];
                 }
             }
-            assert_close(&matmul_nt(&a, &bt, m, k, n), &expect);
+            let mut c = vec![f32::NAN; m * n];
+            matmul_nt_into(&mut c, &a, &bt, m, k, n);
+            assert_close(&c, &expect);
         }
     }
 }

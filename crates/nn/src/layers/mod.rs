@@ -353,32 +353,9 @@ impl Sequential {
     /// evaluation-mode outputs exactly.
     pub fn export_params(&mut self) -> Vec<Tensor> {
         let mut out = Vec::new();
-        self.export_params_into(&mut out);
+        self.visit_params(&mut |p| out.push(p.value.clone()));
+        self.visit_buffers(&mut |b| out.push(Tensor::from_vec(&[b.len()], b.clone())));
         out
-    }
-
-    /// Buffer-reusing variant of [`Sequential::export_params`]: overwrites
-    /// `out` in place, recycling matching-shape slots from a previous
-    /// snapshot so repeated exports (e.g. best-validation snapshotting every
-    /// improvement) stop cloning the full parameter set.
-    pub fn export_params_into(&mut self, out: &mut Vec<Tensor>) {
-        fn write_slot(out: &mut Vec<Tensor>, idx: usize, shape: &[usize], data: &[f32]) {
-            match out.get_mut(idx) {
-                Some(slot) if slot.shape() == shape => slot.as_mut_slice().copy_from_slice(data),
-                Some(slot) => *slot = Tensor::from_vec(shape, data.to_vec()),
-                None => out.push(Tensor::from_vec(shape, data.to_vec())),
-            }
-        }
-        let mut idx = 0usize;
-        self.visit_params(&mut |p| {
-            write_slot(out, idx, p.value.shape(), p.value.as_slice());
-            idx += 1;
-        });
-        self.visit_buffers(&mut |b| {
-            write_slot(out, idx, &[b.len()], b);
-            idx += 1;
-        });
-        out.truncate(idx);
     }
 
     /// Loads a snapshot produced by [`Sequential::export_params`].

@@ -39,24 +39,9 @@ pub fn mse(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
     (value / n, Tensor::from_vec(a.shape(), grad))
 }
 
-/// *Summed* squared error `Σ (a − b)²` and its gradient — the paper's
-/// `‖M* − M‖₂²` term (Algorithm 1 line 7) without averaging, so the α weight
-/// in the combined loss means the same thing it does in the paper.
-///
-/// An allocating wrapper over [`sum_squared_error_acc_into`] with unit
-/// scale. The accumulator starts at `-0.0`, the additive identity for every
-/// `f32` (`+0.0 + -0.0` would be `+0.0`), so each element is exactly `2(a − b)`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn sum_squared_error(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
-    let mut grad = Tensor::filled(a.shape(), -0.0);
-    let value = sum_squared_error_acc_into(a, b, 1.0, &mut grad);
-    (value, grad)
-}
-
-/// Summed squared error with a fused scale: returns `Σ (a − b)²` and
+/// *Summed* squared error `Σ (a − b)²` — the paper's `‖M* − M‖₂²` term
+/// (Algorithm 1 line 7) without averaging, so the α weight in the combined
+/// loss means the same thing it does in the paper. Returns the sum and
 /// **accumulates** `scale · 2(a − b)` into `grad` (which must already have
 /// the same shape). Folding the batch/weight scale into the gradient pass
 /// avoids materializing the intermediate gradient tensor in the trainer.
@@ -148,6 +133,15 @@ mod tests {
         }
     }
 
+    /// `Σ (a − b)²` and its unit-scale gradient, accumulated into `-0.0`:
+    /// the additive identity for every `f32` (`+0.0 + -0.0` would be
+    /// `+0.0`), so each element is exactly `2(a − b)`.
+    fn sse(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
+        let mut grad = Tensor::filled(a.shape(), -0.0);
+        let value = sum_squared_error_acc_into(a, b, 1.0, &mut grad);
+        (value, grad)
+    }
+
     #[test]
     fn mse_zero_at_match() {
         let a = Tensor::from_vec(&[3], vec![1.0, -1.0, 0.5]);
@@ -168,7 +162,7 @@ mod tests {
         let a = Tensor::from_vec(&[4], vec![1.0, 2.0, 3.0, 4.0]);
         let b = Tensor::zeros(&[4]);
         let (m, _) = mse(&a, &b);
-        let (s, _) = sum_squared_error(&a, &b);
+        let (s, _) = sse(&a, &b);
         assert!((s - 4.0 * m).abs() < 1e-9);
     }
 
@@ -176,7 +170,7 @@ mod tests {
     fn sse_gradient_fd() {
         let b = Tensor::from_vec(&[3], vec![0.3, -0.2, 0.8]);
         let x = Tensor::from_vec(&[3], vec![0.5, 0.5, 0.5]);
-        fd_check(&|t| sum_squared_error(t, &b), &x, 0.01);
+        fd_check(&|t| sse(t, &b), &x, 0.01);
     }
 
     #[test]
@@ -238,14 +232,14 @@ mod tests {
     fn nan_input_trips_loss_value_guard() {
         let a = Tensor::from_vec(&[2], vec![f32::NAN, 0.0]);
         let b = Tensor::zeros(&[2]);
-        let _ = sum_squared_error(&a, &b);
+        let _ = sse(&a, &b);
     }
 
     #[test]
     fn fused_sse_accumulates_scaled_gradient() {
         let a = Tensor::from_vec(&[3], vec![0.5, -0.2, 0.8]);
         let b = Tensor::from_vec(&[3], vec![0.3, 0.1, 0.8]);
-        let (v, g) = sum_squared_error(&a, &b);
+        let (v, g) = sse(&a, &b);
         let mut acc = Tensor::filled(&[3], 10.0);
         let fv = sum_squared_error_acc_into(&a, &b, 0.5, &mut acc);
         assert_eq!(fv, v);

@@ -10,16 +10,6 @@
 use crate::layers::Sequential;
 use crate::{guard, Tensor};
 
-/// Copies `src` into `out[idx]`, reusing the slot's allocation when one
-/// exists (snapshots keep stable shapes, so steady state never allocates).
-fn write_slot(out: &mut Vec<Tensor>, idx: usize, src: &Tensor) {
-    if idx < out.len() {
-        out[idx].copy_from(src);
-    } else {
-        out.push(src.clone());
-    }
-}
-
 /// Stochastic gradient descent with classical momentum.
 ///
 /// `v ← μ·v − λ·g ; w ← w + v` — with `μ = 0`, plain mini-batch SGD, which
@@ -79,19 +69,7 @@ impl Sgd {
     /// [`Sequential::visit_params`] order. Empty until the first
     /// [`Sgd::step`].
     pub fn export_state(&self) -> Vec<Tensor> {
-        let mut out = Vec::new();
-        self.export_state_into(&mut out);
-        out
-    }
-
-    /// Writes the velocity snapshot into `out`, reusing its allocations —
-    /// the zero-allocation flavour of [`Sgd::export_state`] for per-epoch
-    /// best-model snapshotting.
-    pub fn export_state_into(&self, out: &mut Vec<Tensor>) {
-        for (i, v) in self.velocity.iter().enumerate() {
-            write_slot(out, i, v);
-        }
-        out.truncate(self.velocity.len());
+        self.velocity.clone()
     }
 
     /// Restores a velocity snapshot produced by [`Sgd::export_state`].
@@ -184,24 +162,10 @@ impl Adam {
     /// tensor, then the first- and second-moment buffers in
     /// [`Sequential::visit_params`] order.
     pub fn export_state(&self) -> Vec<Tensor> {
-        let mut out = Vec::new();
-        self.export_state_into(&mut out);
+        let mut out = Vec::with_capacity(1 + self.m.len() + self.v.len());
+        out.push(Tensor::from_vec(&[1], vec![self.t as f32]));
+        out.extend(self.m.iter().chain(&self.v).cloned());
         out
-    }
-
-    /// Writes the Adam snapshot into `out`, reusing its allocations — the
-    /// zero-allocation flavour of [`Adam::export_state`].
-    pub fn export_state_into(&self, out: &mut Vec<Tensor>) {
-        if out.is_empty() {
-            out.push(Tensor::zeros(&[1]));
-        } else {
-            out[0].resize(&[1]);
-        }
-        out[0].as_mut_slice()[0] = self.t as f32;
-        for (i, t) in self.m.iter().chain(self.v.iter()).enumerate() {
-            write_slot(out, 1 + i, t);
-        }
-        out.truncate(1 + self.m.len() + self.v.len());
     }
 
     /// Restores a snapshot produced by [`Adam::export_state`].
@@ -405,32 +369,6 @@ mod tests {
             net.export_params()
         };
         assert_eq!(run(None), run(Some(4)));
-    }
-
-    #[test]
-    fn export_state_into_reuses_and_matches() {
-        let mut net = Sequential::new();
-        net.push(Linear::new(2, 1, 7));
-        let mut opt = Adam::new(0.05);
-        let x = init::uniform(&[4, 2], -1.0, 1.0, 3);
-        for _ in 0..3 {
-            let pred = net.forward(&x, true);
-            let (_, grad) = mse(&pred, &Tensor::filled(&[4, 1], 0.5));
-            net.zero_grads();
-            net.backward(&grad);
-            opt.step(&mut net);
-        }
-        // Start from a buffer with wrong shapes and stale extra slots; the
-        // in-place export must fix both and match the allocating snapshot.
-        let mut buf = vec![Tensor::zeros(&[9]); 8];
-        opt.export_state_into(&mut buf);
-        assert_eq!(buf, opt.export_state());
-
-        let mut sgd = Sgd::new(0.1, 0.9);
-        sgd.step(&mut net);
-        let mut vbuf = Vec::new();
-        sgd.export_state_into(&mut vbuf);
-        assert_eq!(vbuf, sgd.export_state());
     }
 
     #[test]

@@ -363,15 +363,10 @@ fn par_threads(len: usize) -> usize {
     }
 }
 
-// The matrix-multiply kernels behind the layers live in [`crate::gemm`]
-// (cache-blocked, register-tiled, pool-parallel); the layers call the
-// `_into` variants directly, so these aliases only serve the tests below.
-#[cfg(test)]
-pub(crate) use crate::gemm::{matmul, matmul_nt, matmul_tn};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{matmul_into, matmul_nt_into, matmul_tn_into};
 
     #[test]
     fn construction_and_indexing() {
@@ -449,7 +444,8 @@ mod tests {
         // [2x3] · [3x2]
         let a = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let b = vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
-        let c = matmul(&a, &b, 2, 3, 2);
+        let mut c = vec![f32::NAN; 4];
+        matmul_into(&mut c, &a, &b, 2, 3, 2);
         assert_eq!(c, vec![58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -460,23 +456,27 @@ mod tests {
         let n = 2;
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.3).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.7).cos()).collect();
-        let c = matmul(&a, &b, m, k, n);
-        // Build Aᵀ stored [k×m] and check matmul_tn reproduces C.
+        let mut c = vec![f32::NAN; m * n];
+        matmul_into(&mut c, &a, &b, m, k, n);
+        // Build Aᵀ stored [k×m] and check the TN layout reproduces C.
         let mut at = vec![0.0f32; k * m];
         for i in 0..m {
             for kk in 0..k {
                 at[kk * m + i] = a[i * k + kk];
             }
         }
-        assert_eq!(matmul_tn(&at, &b, m, k, n), c);
-        // Build Bᵀ stored [n×k] and check matmul_nt reproduces C.
+        let mut c2 = vec![f32::NAN; m * n];
+        matmul_tn_into(&mut c2, &at, &b, m, k, n);
+        assert_eq!(c2, c);
+        // Build Bᵀ stored [n×k] and check the NT layout reproduces C.
         let mut bt = vec![0.0f32; n * k];
         for kk in 0..k {
             for j in 0..n {
                 bt[j * k + kk] = b[kk * n + j];
             }
         }
-        let c2 = matmul_nt(&a, &bt, m, k, n);
+        c2.fill(f32::NAN);
+        matmul_nt_into(&mut c2, &a, &bt, m, k, n);
         for (x, y) in c.iter().zip(&c2) {
             assert!((x - y).abs() < 1e-5);
         }

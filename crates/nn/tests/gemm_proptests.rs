@@ -55,7 +55,10 @@ proptest! {
         let a = fill(m * k, seed);
         let b = fill(k * n, seed ^ 0xabcd);
         let expect = reference_matmul(&a, &b, m, k, n);
-        assert_close(&gemm::matmul(&a, &b, m, k, n), &expect, "matmul");
+        // Each product writes into NaN, so an accumulated-into element fails.
+        let mut c = vec![f32::NAN; m * n];
+        gemm::matmul_into(&mut c, &a, &b, m, k, n);
+        assert_close(&c, &expect, "matmul_into");
 
         let mut at = vec![0.0f32; k * m];
         for i in 0..m {
@@ -63,7 +66,9 @@ proptest! {
                 at[p * m + i] = a[i * k + p];
             }
         }
-        assert_close(&gemm::matmul_tn(&at, &b, m, k, n), &expect, "matmul_tn");
+        c.fill(f32::NAN);
+        gemm::matmul_tn_into(&mut c, &at, &b, m, k, n);
+        assert_close(&c, &expect, "matmul_tn_into");
 
         let mut bt = vec![0.0f32; n * k];
         for p in 0..k {
@@ -71,7 +76,9 @@ proptest! {
                 bt[j * k + p] = b[p * n + j];
             }
         }
-        assert_close(&gemm::matmul_nt(&a, &bt, m, k, n), &expect, "matmul_nt");
+        c.fill(f32::NAN);
+        gemm::matmul_nt_into(&mut c, &a, &bt, m, k, n);
+        assert_close(&c, &expect, "matmul_nt_into");
     }
 }
 
