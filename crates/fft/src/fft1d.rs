@@ -140,29 +140,20 @@ impl Fft1d {
         self.len == 0
     }
 
-    /// Transforms `data` in place.
+    /// Transforms `data` in place: the public 1-D entry point, and the
+    /// reference the batched lane transform is tested against.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::SizeMismatch`] when `data.len() != self.len()`.
     // lint: hot-path
     pub fn transform(&self, data: &mut [Complex], dir: Direction) -> Result<(), FftError> {
-        if data.len() != self.len {
-            return Err(FftError::SizeMismatch { expected: self.len, actual: data.len() });
-        }
-        self.transform_unchecked(data, dir);
-        Ok(())
-    }
-
-    /// Transforms a buffer whose length is known to match the plan.
-    ///
-    /// Used by [`crate::RealFft2d`] on internal rows, where the length
-    /// invariant is maintained structurally.
-    // lint: hot-path
-    pub(crate) fn transform_unchecked(&self, data: &mut [Complex], dir: Direction) {
         let n = self.len;
+        if data.len() != n {
+            return Err(FftError::SizeMismatch { expected: n, actual: data.len() });
+        }
         if n <= 1 {
-            return;
+            return Ok(());
         }
         for &(i, j) in &self.swaps {
             data.swap(i as usize, j as usize);
@@ -185,48 +176,70 @@ impl Fft1d {
                 }
             }
         }
+        Ok(())
     }
 
-    /// Transforms every column of a row-major `len × cols` block in place:
-    /// `cols` independent length-`len` transforms run as one batch.
+    /// Transforms `lanes` independent sequences at once, held in split
+    /// real/imaginary planes: element `r` of lane `l` is
+    /// `(re[r * stride + l], im[r * stride + l])`. Both planes hold
+    /// `len × stride` floats; lanes `lanes..stride` are never touched.
     ///
-    /// Each column goes through exactly the floating-point operations, in
-    /// the same order, that [`Fft1d::transform`] applies to it alone, so the
-    /// results are bit-identical to transforming extracted columns. The swap
-    /// program moves whole rows and every butterfly's inner loop runs across
-    /// the contiguous columns of a row, so it vectorizes and needs no
-    /// transpose or scratch storage. Used by [`crate::RealFft2d`]'s column
-    /// pass over the stored half-spectrum.
+    /// Each lane goes through exactly the floating-point operations, in the
+    /// same order, that [`Fft1d::transform`] applies to it alone, so the
+    /// results are bit-identical to transforming extracted lanes. The swap
+    /// program moves whole rows of both planes, and every butterfly's inner
+    /// loop runs across the contiguous lanes of its four rows, so it
+    /// vectorizes over the planes with no transpose or scratch storage.
+    /// [`crate::RealFft2d`] runs both of its passes through it.
     // lint: hot-path
-    pub(crate) fn transform_columns(&self, data: &mut [Complex], cols: usize, dir: Direction) {
+    pub(crate) fn transform_lanes(
+        &self,
+        re: &mut [f32],
+        im: &mut [f32],
+        stride: usize,
+        lanes: usize,
+        dir: Direction,
+    ) {
         let n = self.len;
-        debug_assert_eq!(data.len(), n * cols, "block must be len × cols");
-        if n <= 1 || cols == 0 {
+        debug_assert!(lanes <= stride, "lanes must fit the stride");
+        debug_assert!(
+            re.len() == n * stride && im.len() == n * stride,
+            "planes must be len × stride"
+        );
+        if n <= 1 || lanes == 0 {
             return;
         }
         for &(i, j) in &self.swaps {
             let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
-            let (head, tail) = data.split_at_mut(hi * cols);
-            head[lo * cols..(lo + 1) * cols].swap_with_slice(&mut tail[..cols]);
+            for plane in [&mut *re, &mut *im] {
+                let (head, tail) = plane.split_at_mut(hi * stride);
+                head[lo * stride..][..lanes].swap_with_slice(&mut tail[..lanes]);
+            }
         }
         if self.radix2_first {
-            for pair in data.chunks_exact_mut(2 * cols) {
-                let (r0, r1) = pair.split_at_mut(cols);
-                for (x0, x1) in r0.iter_mut().zip(r1.iter_mut()) {
-                    let (a, b) = (*x0, *x1);
-                    *x0 = a + b;
-                    *x1 = a - b;
+            for plane in [&mut *re, &mut *im] {
+                for pair in plane.chunks_exact_mut(2 * stride) {
+                    let (r0, r1) = pair.split_at_mut(stride);
+                    for (x0, x1) in r0[..lanes].iter_mut().zip(&mut r1[..lanes]) {
+                        let (a, b) = (*x0, *x1);
+                        *x0 = a + b;
+                        *x1 = a - b;
+                    }
                 }
             }
         }
         let m0 = if self.radix2_first { 2 } else { 1 };
         match dir {
-            Direction::Forward => self.radix4_stages_columns::<false>(data, cols, m0),
+            Direction::Forward => self.radix4_stages_lanes::<false>(re, im, stride, lanes, m0),
             Direction::Inverse => {
-                self.radix4_stages_columns::<true>(data, cols, m0);
+                self.radix4_stages_lanes::<true>(re, im, stride, lanes, m0);
                 let scale = 1.0 / n as f32;
-                for c in data.iter_mut() {
-                    *c = c.scale(scale);
+                for plane in [re, im] {
+                    for row in plane.chunks_exact_mut(stride) {
+                        for v in &mut row[..lanes] {
+                            *v *= scale;
+                        }
+                    }
                 }
             }
         }
@@ -247,13 +260,9 @@ impl Fft1d {
                 let (q01, q23) = group.split_at_mut(2 * m);
                 let (q0, q1) = q01.split_at_mut(m);
                 let (q2, q3) = q23.split_at_mut(m);
-                let mut tw = stage_tw.chunks_exact(3);
-                for t in 0..m {
-                    // PANIC: stage_tw holds exactly 3*m twiddles, so the
-                    // chunks_exact(3) iterator yields one triple per t < m.
-                    let w = tw.next().expect("twiddle triple");
-                    let w = [w[0], w[1], w[2]];
-                    butterfly4::<INV>(&mut q0[t], &mut q1[t], &mut q2[t], &mut q3[t], w);
+                for (t, w) in stage_tw.chunks_exact(3).enumerate() {
+                    let y = butterfly4::<INV>([q0[t], q1[t], q2[t], q3[t]], [w[0], w[1], w[2]]);
+                    [q0[t], q1[t], q2[t], q3[t]] = y;
                 }
             }
             base += 3 * m;
@@ -261,15 +270,17 @@ impl Fft1d {
         }
     }
 
-    /// [`Fft1d::radix4_stages`] over the columns of a row-major
-    /// `len × cols` block: quarter `q` of a group is `m` whole rows, and
-    /// the butterfly with twiddle triple `t` runs across row `t` of the four
+    /// [`Fft1d::radix4_stages`] over split planes of `stride`-float rows:
+    /// quarter `q` of a group is `m` whole rows, and the butterfly with
+    /// twiddle triple `t` runs across the lanes of row `t` of the four
     /// quarters.
     // lint: hot-path
-    fn radix4_stages_columns<const INV: bool>(
+    fn radix4_stages_lanes<const INV: bool>(
         &self,
-        data: &mut [Complex],
-        cols: usize,
+        re: &mut [f32],
+        im: &mut [f32],
+        stride: usize,
+        lanes: usize,
         mut m: usize,
     ) {
         let table: &[Complex] = if INV { &self.inv } else { &self.fwd };
@@ -278,20 +289,29 @@ impl Fft1d {
         while 4 * m <= n {
             let span = 4 * m;
             let stage_tw = &table[base..base + 3 * m];
-            for group in data.chunks_exact_mut(span * cols) {
-                let (q01, q23) = group.split_at_mut(2 * m * cols);
-                let (q0, q1) = q01.split_at_mut(m * cols);
-                let (q2, q3) = q23.split_at_mut(m * cols);
-                let rows = q0
-                    .chunks_exact_mut(cols)
-                    .zip(q1.chunks_exact_mut(cols))
-                    .zip(q2.chunks_exact_mut(cols))
-                    .zip(q3.chunks_exact_mut(cols));
-                for ((((r0, r1), r2), r3), w) in rows.zip(stage_tw.chunks_exact(3)) {
+            let groups = re.chunks_exact_mut(span * stride).zip(im.chunks_exact_mut(span * stride));
+            for (gre, gim) in groups {
+                let [r0, r1, r2, r3] = quarters(gre, m * stride);
+                let [i0, i1, i2, i3] = quarters(gim, m * stride);
+                for (t, w) in stage_tw.chunks_exact(3).enumerate() {
                     let w = [w[0], w[1], w[2]];
-                    let lanes = r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut()).zip(r3);
-                    for (((x0, x1), x2), x3) in lanes {
-                        butterfly4::<INV>(x0, x1, x2, x3, w);
+                    let (a, b) = (t * stride, t * stride + lanes);
+                    let (r0, r1, r2, r3) =
+                        (&mut r0[a..b], &mut r1[a..b], &mut r2[a..b], &mut r3[a..b]);
+                    let (i0, i1, i2, i3) =
+                        (&mut i0[a..b], &mut i1[a..b], &mut i2[a..b], &mut i3[a..b]);
+                    for l in 0..lanes {
+                        let x = [
+                            Complex::new(r0[l], i0[l]),
+                            Complex::new(r1[l], i1[l]),
+                            Complex::new(r2[l], i2[l]),
+                            Complex::new(r3[l], i3[l]),
+                        ];
+                        let [y0, y1, y2, y3] = butterfly4::<INV>(x, w);
+                        (r0[l], i0[l]) = (y0.re, y0.im);
+                        (r1[l], i1[l]) = (y1.re, y1.im);
+                        (r2[l], i2[l]) = (y2.re, y2.im);
+                        (r3[l], i3[l]) = (y3.re, y3.im);
                     }
                 }
             }
@@ -301,21 +321,24 @@ impl Fft1d {
     }
 }
 
-/// One radix-4 decimation-in-time butterfly on `(x0, x1, x2, x3)` with the
-/// twiddle triple `w = (W^t, W^2t, W^3t)`. The single body both the per-row
-/// and the batched column stages run, so their arithmetic cannot diverge.
+/// Splits a radix-4 group into its four quarters of `q` floats each.
+fn quarters(group: &mut [f32], q: usize) -> [&mut [f32]; 4] {
+    let (q0, rest) = group.split_at_mut(q);
+    let (q1, rest) = rest.split_at_mut(q);
+    let (q2, q3) = rest.split_at_mut(q);
+    [q0, q1, q2, q3]
+}
+
+/// One radix-4 decimation-in-time butterfly on `x = (x0, x1, x2, x3)` with
+/// the twiddle triple `w = (W^t, W^2t, W^3t)`. The single body both the
+/// per-sequence and the batched lane stages run, so their arithmetic cannot
+/// diverge.
 #[inline(always)]
-fn butterfly4<const INV: bool>(
-    x0: &mut Complex,
-    x1: &mut Complex,
-    x2: &mut Complex,
-    x3: &mut Complex,
-    w: [Complex; 3],
-) {
-    let u0 = *x0;
-    let u1 = *x1 * w[0];
-    let u2 = *x2 * w[1];
-    let u3 = *x3 * w[2];
+fn butterfly4<const INV: bool>(x: [Complex; 4], w: [Complex; 3]) -> [Complex; 4] {
+    let u0 = x[0];
+    let u1 = x[1] * w[0];
+    let u2 = x[2] * w[1];
+    let u3 = x[3] * w[2];
     let s02 = u0 + u2;
     let d02 = u0 - u2;
     let s13 = u1 + u3;
@@ -323,10 +346,7 @@ fn butterfly4<const INV: bool>(
     // jd13 = ∓i·d13: forward uses W₄ = e^{-iπ/2} = -i, the inverse its
     // conjugate.
     let jd13 = if INV { Complex::new(-d13.im, d13.re) } else { Complex::new(d13.im, -d13.re) };
-    *x0 = s02 + s13;
-    *x1 = d02 + jd13;
-    *x2 = s02 - s13;
-    *x3 = d02 - jd13;
+    [s02 + s13, d02 + jd13, s02 - s13, d02 - jd13]
 }
 
 #[cfg(test)]
@@ -425,26 +445,32 @@ mod tests {
     }
 
     #[test]
-    fn transform_columns_is_bit_identical_to_per_column_transforms() {
+    fn transform_lanes_is_bit_identical_to_per_lane_transforms() {
         for log in 0..=10 {
             let n = 1usize << log;
             let plan = Fft1d::new(n).unwrap();
-            for cols in [1usize, 2, 3, 33, 65, 129] {
-                let block: Vec<Complex> = (0..n * cols)
+            for (lanes, stride) in
+                [(1usize, 1usize), (2, 2), (3, 11), (33, 33), (65, 65), (128, 136)]
+            {
+                let block: Vec<Complex> = (0..n * stride)
                     .map(|i| Complex::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos() - 0.5))
                     .collect();
                 for dir in [Direction::Forward, Direction::Inverse] {
-                    let mut batched = block.clone();
-                    plan.transform_columns(&mut batched, cols, dir);
-                    for c in 0..cols {
-                        let mut col: Vec<Complex> = (0..n).map(|r| block[r * cols + c]).collect();
-                        plan.transform(&mut col, dir).unwrap();
-                        for (r, want) in col.iter().enumerate() {
-                            let got = batched[r * cols + c];
+                    let mut re: Vec<f32> = block.iter().map(|c| c.re).collect();
+                    let mut im: Vec<f32> = block.iter().map(|c| c.im).collect();
+                    plan.transform_lanes(&mut re, &mut im, stride, lanes, dir);
+                    for l in 0..stride {
+                        let mut lane: Vec<Complex> =
+                            (0..n).map(|r| block[r * stride + l]).collect();
+                        if l < lanes {
+                            plan.transform(&mut lane, dir).unwrap();
+                        }
+                        for (r, want) in lane.iter().enumerate() {
+                            let got = (re[r * stride + l], im[r * stride + l]);
                             assert_eq!(
-                                (got.re.to_bits(), got.im.to_bits()),
+                                (got.0.to_bits(), got.1.to_bits()),
                                 (want.re.to_bits(), want.im.to_bits()),
-                                "n={n} cols={cols} {dir:?} at ({r},{c})"
+                                "n={n} lanes={lanes} stride={stride} {dir:?} at ({r},{l})"
                             );
                         }
                     }

@@ -13,9 +13,10 @@
 //!   transform for power-of-two lengths, with direction-specific twiddle
 //!   tables and a precomputed digit-reversal swap program;
 //! * [`RealFft2d`] — the real-input 2-D transform over the packed Hermitian
-//!   `h × (w/2+1)` half-spectrum, built on [`Fft1d`]: one transform per row,
-//!   then one batched, in-place transform over all stored columns; it
-//!   carries the whole litho hot path;
+//!   `h × (w/2+1)` half-spectrum, built on [`Fft1d`]: all row transforms run
+//!   as one batch, then all stored columns as another, each vectorized across
+//!   the lanes of split real/imaginary planes in per-thread working storage;
+//!   it carries the whole litho hot path;
 //! * [`Arena`] — a shared freelist of frame-sized scratch buffers so
 //!   steady-state convolutions allocate nothing;
 //! * [`spectrum`] helpers — half-spectrum products and the kernel spectra

@@ -13,8 +13,21 @@
 //! holds `X[ky, kx]` for `kx = 0 ..= w/2`. The two boundary columns `kx = 0`
 //! and `kx = w/2` (DC and Nyquist) are self-conjugate along `ky`:
 //! `X[ky, b] = conj(X[(h-ky)%h, b])`.
+//!
+//! Both passes run as batches over split real/imaginary `f32` planes, so
+//! every butterfly vectorizes across lanes. The forward transform packs the
+//! image into a *tile* whose lanes are the image rows, runs all `h` row FFTs
+//! as one batch, untangles across lanes, transposes into *column planes*
+//! whose lanes are the `w/2 + 1` stored columns, runs the column pass as one
+//! batch and interleaves into the output; the inverse runs the same steps
+//! backwards. Each element goes through the same floating-point operations,
+//! in the same order, as transforming one row and one column at a time. The
+//! planes live in per-thread storage grown to the largest plan the thread
+//! has run, so a transform allocates nothing once its thread has run one at
+//! least this large.
 
 use crate::{Complex, Direction, Fft1d, FftError};
+use std::cell::RefCell;
 
 /// A planned real-input 2-D FFT producing/consuming the packed
 /// `h × (w/2+1)` half-spectrum.
@@ -117,12 +130,12 @@ impl RealFft2d {
     }
 
     /// Forward transform: real `height × width` image → packed half-spectrum
-    /// (unnormalized, the [`Direction::Forward`] convention). Runs in place
-    /// on `out` with no heap allocation.
+    /// (unnormalized, the [`Direction::Forward`] convention).
     ///
-    /// `_scratch` is unused: the transform needs no working storage beyond
-    /// `out`. The argument stays only for source compatibility with existing
-    /// callers, and is never read or grown.
+    /// Works in this thread's split-plane working storage (see the module
+    /// docs), so it allocates nothing once its thread has run a transform
+    /// at least this large. `_scratch` is unused: it is never read or
+    /// grown, and stays only for source compatibility with existing callers.
     ///
     /// # Errors
     ///
@@ -135,34 +148,43 @@ impl RealFft2d {
         _scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(real.len(), out.len())?;
-        let hw = self.half_width;
-        let m = self.width / 2;
+        let (h, hw, m) = (self.height, self.half_width, self.width / 2);
+        let ld = h + TILE_PAD;
+        self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
+            // Row pass: pack two real samples per complex slot, transposed so
+            // image row y is tile lane y; run every half-length row FFT as one
+            // batch; untangle the m+1 stored bins across lanes.
+            pack_rows(real, self.width, tile_re, tile_im, ld);
+            self.row_plan.transform_lanes(
+                &mut tile_re[..m * ld],
+                &mut tile_im[..m * ld],
+                ld,
+                h,
+                Direction::Forward,
+            );
+            self.untangle_lanes(tile_re, tile_im, ld);
 
-        // Row pass: pack two real samples per complex slot, half-length FFT,
-        // then untangle into the m+1 stored bins.
-        for (src, row) in real.chunks_exact(self.width).zip(out.chunks_exact_mut(hw)) {
-            for (z, pair) in row[..m].iter_mut().zip(src.chunks_exact(2)) {
-                *z = Complex::new(pair[0], pair[1]);
+            // Column pass: transpose so stored column kx is lane kx, then one
+            // batched full-height FFT over all w/2+1 lanes.
+            transpose(tile_re, ld, col_re, hw, hw, h);
+            transpose(tile_im, ld, col_im, hw, hw, h);
+            self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Forward);
+            for ((o, &re), &im) in out.iter_mut().zip(col_re.iter()).zip(col_im.iter()) {
+                *o = Complex::new(re, im);
             }
-            self.row_plan.transform_unchecked(&mut row[..m], Direction::Forward);
-            self.untangle_row(row);
-        }
-
-        // Column pass: every stored column gets a full-height complex FFT,
-        // all of them as one batch in place on the row-major half-spectrum.
-        self.col_plan.transform_columns(out, hw, Direction::Forward);
+        });
         Ok(())
     }
 
     /// Inverse transform: packed half-spectrum → real image, normalized by
     /// `1/(height·width)` so `inverse(forward(x)) == x` up to rounding.
     ///
-    /// Destroys the contents of `half` (it is used as working storage). The
-    /// input is assumed Hermitian-consistent, i.e. in the range of
+    /// The input is assumed Hermitian-consistent, i.e. in the range of
     /// [`RealFft2d::forward`] — true for any product of half-spectra of real
-    /// fields, which is all the litho stack produces. No heap allocation.
-    ///
-    /// `_scratch` is unused, as in [`RealFft2d::forward`].
+    /// fields, which is all the litho stack produces. `half` is only read;
+    /// it stays `&mut` for source compatibility. Allocates nothing once its
+    /// thread has run a transform at least this large, and `_scratch` is
+    /// unused, as in [`RealFft2d::forward`].
     ///
     /// # Errors
     ///
@@ -175,84 +197,211 @@ impl RealFft2d {
         _scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(out.len(), half.len())?;
-        let hw = self.half_width;
-        let m = self.width / 2;
-
-        // Column pass first (reverse of forward): inverse FFT down every
-        // stored column, carrying the 1/h normalization.
-        self.col_plan.transform_columns(half, hw, Direction::Inverse);
-
-        // Row pass: tangle the m+1 bins back into a half-length complex
-        // sequence, inverse FFT (1/m), unpack interleaved real samples. The
-        // two 1/2 factors hidden in the tangle make 1/(h·m) the exact overall
-        // 1/(h·w) normalization.
-        for (row, dst) in half.chunks_exact_mut(hw).zip(out.chunks_exact_mut(self.width)) {
-            self.tangle_row(row);
-            self.row_plan.transform_unchecked(&mut row[..m], Direction::Inverse);
-            for (z, pair) in row[..m].iter().zip(dst.chunks_exact_mut(2)) {
-                pair[0] = z.re;
-                pair[1] = z.im;
+        let (h, hw, m) = (self.height, self.half_width, self.width / 2);
+        let ld = h + TILE_PAD;
+        self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
+            // Column pass first (reverse of forward): split the planes, then
+            // one batched inverse FFT down every stored column, carrying the
+            // 1/h normalization.
+            for ((re, im), z) in col_re.iter_mut().zip(col_im.iter_mut()).zip(half.iter()) {
+                (*re, *im) = (z.re, z.im);
             }
-        }
+            self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Inverse);
+
+            // Row pass: transpose so image row y is tile lane y, tangle the
+            // m+1 bins back into a half-length complex sequence across lanes,
+            // one batched inverse FFT (1/m), then unpack the interleaved real
+            // samples. The two 1/2 factors hidden in the tangle make 1/(h·m)
+            // the exact overall 1/(h·w) normalization.
+            transpose(col_re, hw, tile_re, ld, h, hw);
+            transpose(col_im, hw, tile_im, ld, h, hw);
+            self.tangle_lanes(tile_re, tile_im, ld);
+            self.row_plan.transform_lanes(
+                &mut tile_re[..m * ld],
+                &mut tile_im[..m * ld],
+                ld,
+                h,
+                Direction::Inverse,
+            );
+            unpack_rows(tile_re, tile_im, ld, out, self.width);
+        });
         Ok(())
     }
 
-    /// Untangles one packed row in place: on entry `row[0..m]` holds the
-    /// half-length FFT `Z` of the packed samples; on exit `row[0..=m]` holds
-    /// the real-input spectrum bins `X[0..=m]`.
-    // lint: hot-path
-    fn untangle_row(&self, row: &mut [Complex]) {
-        let m = self.width / 2;
-        let z0 = row[0];
-        let mut k = 1;
-        while 2 * k < m {
-            let zk = row[k];
-            let zmk = row[m - k];
-            let e = (zk + zmk.conj()).scale(0.5);
-            let d = zk - zmk.conj();
-            // o = -i/2 · d
-            let o = Complex::new(0.5 * d.im, -0.5 * d.re);
-            row[k] = e + self.tw[k] * o;
-            row[m - k] = e.conj() + self.tw[m - k] * o.conj();
-            k += 1;
-        }
-        if m >= 2 {
-            row[m / 2] = row[m / 2].conj();
-        }
-        row[m] = Complex::new(z0.re - z0.im, 0.0);
-        row[0] = Complex::new(z0.re + z0.im, 0.0);
+    /// Runs `f` on this thread's working planes, sized for this plan: the
+    /// tile's real and imaginary planes, `(w/2+1) × (h + TILE_PAD)` floats
+    /// each, then the two column planes, `h × (w/2+1)` each.
+    fn with_planes<R>(&self, f: impl FnOnce([&mut [f32]; 4]) -> R) -> R {
+        let (tile, cols) = (self.half_width * (self.height + TILE_PAD), self.spectrum_len());
+        PLANES.with(|cell| {
+            let mut planes = cell.borrow_mut();
+            if planes.len() < 2 * (tile + cols) {
+                // ALLOC: one-time growth of this thread's persistent working
+                // planes; steady-state transforms reuse them.
+                planes.resize(2 * (tile + cols), 0.0);
+            }
+            let (tile_re, rest) = planes.split_at_mut(tile);
+            let (tile_im, rest) = rest.split_at_mut(tile);
+            let (col_re, rest) = rest.split_at_mut(cols);
+            f([tile_re, tile_im, col_re, &mut rest[..cols]])
+        })
     }
 
-    /// Tangles one spectrum row in place: on entry `row[0..=m]` holds bins
-    /// `X[0..=m]`; on exit `row[0..m]` holds the half-length sequence whose
-    /// inverse FFT yields the packed real samples.
+    /// Untangles the row FFTs across lanes: on entry tile row `k < m` holds
+    /// bin `k` of every image row's half-length FFT `Z`; on exit tile rows
+    /// `0..=m` hold the real-input spectrum bins `X[0..=m]`. Each lane goes
+    /// through the arithmetic of untangling its row alone.
     // lint: hot-path
-    fn tangle_row(&self, row: &mut [Complex]) {
-        let m = self.width / 2;
-        // General tangle: it does not assume the DC and Nyquist bins are real,
-        // and the inverse's output bits depend on exactly this arithmetic.
-        let x0 = row[0];
-        let xm = row[m];
-        let e0 = (x0 + xm.conj()).scale(0.5);
-        let o0 = (x0 - xm.conj()).scale(0.5);
-        row[0] = Complex::new(e0.re - o0.im, e0.im + o0.re); // e0 + i·o0
+    fn untangle_lanes(&self, re: &mut [f32], im: &mut [f32], ld: usize) {
+        let (lanes, m) = (self.height, self.width / 2);
         let mut k = 1;
         while 2 * k < m {
-            let xk = row[k];
-            let xmk = row[m - k];
-            let e = (xk + xmk.conj()).scale(0.5);
-            let t = (xk - xmk.conj()).scale(0.5);
-            let o = t * self.tw[k].conj();
-            row[k] = Complex::new(e.re - o.im, e.im + o.re); // e + i·o
-            let (ec, oc) = (e.conj(), o.conj());
-            row[m - k] = Complex::new(ec.re - oc.im, ec.im + oc.re);
+            let (tk, tmk) = (self.tw[k], self.tw[m - k]);
+            let (rk, rmk) = two_rows(re, k, m - k, ld, lanes);
+            let (ik, imk) = two_rows(im, k, m - k, ld, lanes);
+            for l in 0..lanes {
+                let zk = Complex::new(rk[l], ik[l]);
+                let zmk = Complex::new(rmk[l], imk[l]);
+                let e = (zk + zmk.conj()).scale(0.5);
+                let d = zk - zmk.conj();
+                // o = -i/2 · d
+                let o = Complex::new(0.5 * d.im, -0.5 * d.re);
+                let xk = e + tk * o;
+                let xmk = e.conj() + tmk * o.conj();
+                (rk[l], ik[l]) = (xk.re, xk.im);
+                (rmk[l], imk[l]) = (xmk.re, xmk.im);
+            }
             k += 1;
         }
         if m >= 2 {
-            let x = row[m / 2];
-            let e = (x + x.conj()).scale(0.5);
-            let o = (x - x.conj()).scale(0.5) * self.tw[m / 2].conj();
-            row[m / 2] = Complex::new(e.re - o.im, e.im + o.re);
+            for v in &mut im[m / 2 * ld..][..lanes] {
+                *v = -*v;
+            }
+        }
+        let (r0, rm) = two_rows(re, 0, m, ld, lanes);
+        let (i0, im_) = two_rows(im, 0, m, ld, lanes);
+        for l in 0..lanes {
+            let z0 = Complex::new(r0[l], i0[l]);
+            (rm[l], im_[l]) = (z0.re - z0.im, 0.0);
+            (r0[l], i0[l]) = (z0.re + z0.im, 0.0);
+        }
+    }
+
+    /// Tangles spectrum rows across lanes: on entry tile rows `0..=m` hold
+    /// bins `X[0..=m]` of every image row; on exit rows `0..m` hold the
+    /// half-length sequences whose inverse FFTs yield the packed real
+    /// samples. Each lane goes through the arithmetic of tangling its row
+    /// alone.
+    // lint: hot-path
+    fn tangle_lanes(&self, re: &mut [f32], im: &mut [f32], ld: usize) {
+        let (lanes, m) = (self.height, self.width / 2);
+        // General tangle: it does not assume the DC and Nyquist bins are real,
+        // and the inverse's output bits depend on exactly this arithmetic.
+        let (r0, rm) = two_rows(re, 0, m, ld, lanes);
+        let (i0, im_) = two_rows(im, 0, m, ld, lanes);
+        for l in 0..lanes {
+            let x0 = Complex::new(r0[l], i0[l]);
+            let xm = Complex::new(rm[l], im_[l]);
+            let e0 = (x0 + xm.conj()).scale(0.5);
+            let o0 = (x0 - xm.conj()).scale(0.5);
+            (r0[l], i0[l]) = (e0.re - o0.im, e0.im + o0.re); // e0 + i·o0
+        }
+        let mut k = 1;
+        while 2 * k < m {
+            let twc = self.tw[k].conj();
+            let (rk, rmk) = two_rows(re, k, m - k, ld, lanes);
+            let (ik, imk) = two_rows(im, k, m - k, ld, lanes);
+            for l in 0..lanes {
+                let xk = Complex::new(rk[l], ik[l]);
+                let xmk = Complex::new(rmk[l], imk[l]);
+                let e = (xk + xmk.conj()).scale(0.5);
+                let t = (xk - xmk.conj()).scale(0.5);
+                let o = t * twc;
+                (rk[l], ik[l]) = (e.re - o.im, e.im + o.re); // e + i·o
+                let (ec, oc) = (e.conj(), o.conj());
+                (rmk[l], imk[l]) = (ec.re - oc.im, ec.im + oc.re);
+            }
+            k += 1;
+        }
+        if m >= 2 {
+            let twc = self.tw[m / 2].conj();
+            let (a, b) = (m / 2 * ld, m / 2 * ld + lanes);
+            for (r, i) in re[a..b].iter_mut().zip(&mut im[a..b]) {
+                let x = Complex::new(*r, *i);
+                let e = (x + x.conj()).scale(0.5);
+                let o = (x - x.conj()).scale(0.5) * twc;
+                (*r, *i) = (e.re - o.im, e.im + o.re);
+            }
+        }
+    }
+}
+
+/// Extra lanes in each tile row. With a lane stride of exactly the image
+/// height, a power of two, the tile's rows map onto the same few L1 sets
+/// and the transposes into and out of the tile thrash.
+const TILE_PAD: usize = 8;
+
+thread_local! {
+    /// This thread's working planes for [`RealFft2d`], grown to the largest
+    /// plan the thread has run. Crew workers are persistent, so each grows
+    /// once per process.
+    static PLANES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Rows `a < b` of a plane with row stride `ld`, `lanes` floats each.
+fn two_rows(
+    plane: &mut [f32],
+    a: usize,
+    b: usize,
+    ld: usize,
+    lanes: usize,
+) -> (&mut [f32], &mut [f32]) {
+    let (head, tail) = plane.split_at_mut(b * ld);
+    (&mut head[a * ld..][..lanes], &mut tail[..lanes])
+}
+
+/// Image rows the packing transposes move per block: the block's source
+/// rows stay in L1 while every tile row gets one contiguous run of lanes.
+const PACK_ROWS: usize = 16;
+
+/// Packs a real `h × w` image into split tile planes of row stride `ld`,
+/// transposed so image row `y` becomes lane `y`: sample pair `j` of row `y`
+/// lands at `(re, im)[j * ld + y]`.
+// lint: hot-path
+fn pack_rows(real: &[f32], w: usize, re: &mut [f32], im: &mut [f32], ld: usize) {
+    for (block, rows) in real.chunks(PACK_ROWS * w).enumerate() {
+        let (y0, n) = (block * PACK_ROWS, rows.len() / w);
+        for j in 0..w / 2 {
+            let (re, im) = (&mut re[j * ld + y0..][..n], &mut im[j * ld + y0..][..n]);
+            for ((r, i), src) in re.iter_mut().zip(im.iter_mut()).zip(rows.chunks_exact(w)) {
+                (*r, *i) = (src[2 * j], src[2 * j + 1]);
+            }
+        }
+    }
+}
+
+/// Inverse of [`pack_rows`]: lane `y` of tile row `j` becomes sample pair
+/// `j` of image row `y`.
+// lint: hot-path
+fn unpack_rows(re: &[f32], im: &[f32], ld: usize, real: &mut [f32], w: usize) {
+    for (block, rows) in real.chunks_mut(PACK_ROWS * w).enumerate() {
+        let (y0, n) = (block * PACK_ROWS, rows.len() / w);
+        for j in 0..w / 2 {
+            let (re, im) = (&re[j * ld + y0..][..n], &im[j * ld + y0..][..n]);
+            for ((&r, &i), dst) in re.iter().zip(im).zip(rows.chunks_exact_mut(w)) {
+                (dst[2 * j], dst[2 * j + 1]) = (r, i);
+            }
+        }
+    }
+}
+
+/// `dst[c * dst_ld + r] = src[r * src_ld + c]` for `r < rows`, `c < cols`,
+/// writing each destination row contiguously.
+// lint: hot-path
+fn transpose(src: &[f32], src_ld: usize, dst: &mut [f32], dst_ld: usize, rows: usize, cols: usize) {
+    for (c, d) in dst.chunks_mut(dst_ld).take(cols).enumerate() {
+        for (r, v) in d[..rows].iter_mut().enumerate() {
+            *v = src[r * src_ld + c];
         }
     }
 }

@@ -3,8 +3,9 @@
 //! The 1-D FFT and the packed real 2-D FFT are checked against a naive
 //! O(N²) DFT written in f64, over randomized power-of-two sizes up to 1024
 //! and randomized rectangular shapes, including the Hermitian-packing
-//! boundary columns. The real 2-D FFT's batched column pass is also checked
-//! bit for bit against per-column [`Fft1d`] transforms.
+//! boundary columns. The real 2-D FFT's batched passes are also checked bit
+//! for bit against a per-row and per-column reference built from
+//! [`Fft1d::transform`] and a test-local copy of the row (un)tangling.
 
 use ganopc_fft::{spectrum, Complex, Direction, Fft1d, RealFft2d};
 use proptest::prelude::*;
@@ -48,6 +49,75 @@ fn transform_each_column(plan: &Fft1d, block: &mut [Complex], cols: usize, dir: 
         for (dst, v) in block.iter_mut().skip(c).step_by(cols).zip(col) {
             *dst = v;
         }
+    }
+}
+
+/// Untangling twiddles `e^{-2πik/w}` for `k = 0 ..= w/2`, computed exactly as
+/// [`RealFft2d::new`] computes them.
+fn untangle_twiddles(w: usize) -> Vec<Complex> {
+    (0..=w / 2).map(|k| Complex::cis(-2.0 * std::f32::consts::PI * k as f32 / w as f32)).collect()
+}
+
+/// One image row's forward pass on its own: pack two real samples per
+/// complex slot, a half-length [`Fft1d::transform`], then untangle into the
+/// `w/2 + 1` stored bins of `row`.
+fn row_forward(plan: &Fft1d, tw: &[Complex], src: &[f32], row: &mut [Complex]) {
+    let m = src.len() / 2;
+    for (z, pair) in row[..m].iter_mut().zip(src.chunks_exact(2)) {
+        *z = Complex::new(pair[0], pair[1]);
+    }
+    plan.transform(&mut row[..m], Direction::Forward).unwrap();
+    let z0 = row[0];
+    let mut k = 1;
+    while 2 * k < m {
+        let zk = row[k];
+        let zmk = row[m - k];
+        let e = (zk + zmk.conj()).scale(0.5);
+        let d = zk - zmk.conj();
+        let o = Complex::new(0.5 * d.im, -0.5 * d.re);
+        row[k] = e + tw[k] * o;
+        row[m - k] = e.conj() + tw[m - k] * o.conj();
+        k += 1;
+    }
+    if m >= 2 {
+        row[m / 2] = row[m / 2].conj();
+    }
+    row[m] = Complex::new(z0.re - z0.im, 0.0);
+    row[0] = Complex::new(z0.re + z0.im, 0.0);
+}
+
+/// One spectrum row's inverse pass on its own: tangle the `w/2 + 1` bins of
+/// `row` (destroyed) into a half-length sequence, an inverse
+/// [`Fft1d::transform`], then unpack the interleaved real samples.
+fn row_inverse(plan: &Fft1d, tw: &[Complex], row: &mut [Complex], dst: &mut [f32]) {
+    let m = dst.len() / 2;
+    let x0 = row[0];
+    let xm = row[m];
+    let e0 = (x0 + xm.conj()).scale(0.5);
+    let o0 = (x0 - xm.conj()).scale(0.5);
+    row[0] = Complex::new(e0.re - o0.im, e0.im + o0.re);
+    let mut k = 1;
+    while 2 * k < m {
+        let xk = row[k];
+        let xmk = row[m - k];
+        let e = (xk + xmk.conj()).scale(0.5);
+        let t = (xk - xmk.conj()).scale(0.5);
+        let o = t * tw[k].conj();
+        row[k] = Complex::new(e.re - o.im, e.im + o.re);
+        let (ec, oc) = (e.conj(), o.conj());
+        row[m - k] = Complex::new(ec.re - oc.im, ec.im + oc.re);
+        k += 1;
+    }
+    if m >= 2 {
+        let x = row[m / 2];
+        let e = (x + x.conj()).scale(0.5);
+        let o = (x - x.conj()).scale(0.5) * tw[m / 2].conj();
+        row[m / 2] = Complex::new(e.re - o.im, e.im + o.re);
+    }
+    plan.transform(&mut row[..m], Direction::Inverse).unwrap();
+    for (z, pair) in row[..m].iter().zip(dst.chunks_exact_mut(2)) {
+        pair[0] = z.re;
+        pair[1] = z.im;
     }
 }
 
@@ -219,18 +289,18 @@ proptest! {
         }
     }
 
-    /// The batched column pass is bit-identical to per-column 1-D
-    /// transforms: `forward` equals a one-row plan's forward on every row
+    /// The batched passes are bit-identical to transforming one row and one
+    /// column at a time: `forward` equals [`row_forward`] on every row
     /// followed by `Fft1d::transform` down every stored column, and `inverse`
-    /// equals the column transforms followed by a one-row plan's inverse on
-    /// every row (a one-row plan's column pass has length 1, a no-op).
+    /// equals the column transforms followed by [`row_inverse`] on every row.
     #[test]
     fn rfft_column_pass_matches_per_column_fft1d(
         (h, w, img, spec) in sized_image_and_spectrum()
     ) {
         let plan = RealFft2d::new(h, w).unwrap();
-        let row_plan = RealFft2d::new(1, w).unwrap();
+        let row_plan = Fft1d::new(w / 2).unwrap();
         let col_plan = Fft1d::new(h).unwrap();
+        let tw = untangle_twiddles(w);
         let hw = plan.half_width();
         let mut scratch = Vec::new();
         let bits = |v: &[Complex]| -> Vec<(u32, u32)> {
@@ -241,7 +311,7 @@ proptest! {
         plan.forward(&img, &mut got, &mut scratch).unwrap();
         let mut want = vec![Complex::ZERO; plan.spectrum_len()];
         for (src, row) in img.chunks_exact(w).zip(want.chunks_exact_mut(hw)) {
-            row_plan.forward(src, row, &mut scratch).unwrap();
+            row_forward(&row_plan, &tw, src, row);
         }
         transform_each_column(&col_plan, &mut want, hw, Direction::Forward);
         prop_assert_eq!(bits(&got), bits(&want), "forward {}x{}", h, w);
@@ -252,7 +322,7 @@ proptest! {
         transform_each_column(&col_plan, &mut half, hw, Direction::Inverse);
         let mut want = vec![0.0f32; h * w];
         for (row, dst) in half.chunks_exact_mut(hw).zip(want.chunks_exact_mut(w)) {
-            row_plan.inverse(row, dst, &mut scratch).unwrap();
+            row_inverse(&row_plan, &tw, row, dst);
         }
         let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
         let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();

@@ -17,9 +17,15 @@
 //! The obs instrumentation (span timers, counters, trace rings) is active
 //! on every measured path and is itself covered by a dedicated block: the
 //! zero-allocation guarantee holds *with metrics recording enabled*.
+//!
+//! The lithography and ILT hot paths are covered too: a warm model's Eq. (14)
+//! gradient and aerial image allocate nothing at 1 and 4 threads (the FFT
+//! working planes are per-thread and grow once), and a warm ILT run's
+//! allocation count does not depend on how many descent iterations it takes.
 
 use ganopc_core::{Discriminator, GanTrainer, Generator, OpcDataset, TrainConfig};
-use ganopc_ilt::IltConfig;
+use ganopc_ilt::{IltConfig, IltEngine};
+use ganopc_litho::{Field, LithoModel, OpticalConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,6 +59,14 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// A 64-px, 8-kernel lithography model.
+fn litho_model() -> LithoModel {
+    let mut cfg = OpticalConfig::default_32nm(2048.0 / 64.0);
+    cfg.pupil_grid = 11;
+    cfg.num_kernels = 8;
+    LithoModel::new(cfg, 64, 64).unwrap()
 }
 
 #[test]
@@ -131,6 +145,68 @@ fn steady_state_training_and_inference_allocate_nothing() {
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "obs recording allocated {delta} times");
+
+    // Lithography hot paths. The warmup primes the model's arena and grows
+    // the FFT working planes of every thread that runs a transform; after
+    // it, the gradient and the aerial image allocate nothing, serially and
+    // through the 4-way crew.
+    let litho = litho_model();
+    let mut target = Field::zeros(64, 64);
+    for y in 20..44 {
+        for x in 24..40 {
+            target.set(y, x, 1.0);
+        }
+    }
+    let mask = target.map(|v| 0.3 + 0.4 * v);
+    let mut grad = vec![0.0f32; 64 * 64];
+    let mut aerial = vec![0.0f32; 64 * 64];
+    for threads in [1, 4] {
+        ganopc_nn::pool::set_max_threads(Some(threads));
+        let mut litho_calls = || {
+            litho.gradient_into(&mask, &target, 1.0, &mut grad).unwrap();
+            litho.aerial_image_into(&mask, &mut aerial).unwrap();
+        };
+        for _ in 0..4 {
+            litho_calls();
+        }
+        let before = allocations();
+        for _ in 0..3 {
+            litho_calls();
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "litho gradient + aerial allocated {delta} times at {threads} threads"
+        );
+    }
+
+    // ILT descent: the loop's buffers are hoisted, so a warm run allocates
+    // the same at 8 and at 16 iterations. Tolerance −∞ and a patience far
+    // beyond the run keep either from stopping early; the small step keeps
+    // the error falling, so the long run finds new best masks after
+    // iteration 8 and the comparison exercises the best-mask update.
+    ganopc_nn::pool::set_max_threads(Some(1));
+    let ilt_allocations = |model: LithoModel, max_iterations: usize| {
+        let config = IltConfig {
+            max_iterations,
+            step_size: 0.1,
+            tolerance: f64::NEG_INFINITY,
+            patience: 1 << 20,
+            ..IltConfig::fast()
+        };
+        let mut engine = IltEngine::new(model, config);
+        engine.optimize(&target).unwrap();
+        let before = allocations();
+        let result = engine.optimize(&target).unwrap();
+        let delta = allocations() - before;
+        assert_eq!(result.iterations, max_iterations, "the run stopped early");
+        (delta, result.l2_history)
+    };
+    let (short, _) = ilt_allocations(litho, 8);
+    let (long, history) = ilt_allocations(litho_model(), 16);
+    let best = |h: &[f64]| h.iter().copied().fold(f64::INFINITY, f64::min);
+    assert!(best(&history[8..]) < best(&history[..8]), "no new best mask after iteration 8");
+    assert_eq!(short, long, "warm ILT allocated {short} times at 8 iterations, {long} at 16");
 
     ganopc_nn::pool::set_max_threads(None);
 }

@@ -377,7 +377,7 @@ impl IltEngine {
             }
             if err < best_err {
                 best_err = err;
-                best_p = p.clone();
+                best_p.as_mut_slice().copy_from_slice(p.as_slice());
                 since_best = 0;
             } else {
                 since_best += 1;

@@ -22,7 +22,10 @@ cargo test -q --workspace
 echo "==> cargo test -q (GANOPC_THREADS=4: parallel dispatch through the crew)"
 GANOPC_THREADS=4 cargo test -q --workspace
 
-echo "==> allocation regression (steady-state train/infer must not allocate)"
+echo "==> cargo test -q --release -p ganopc-fft (bit-identity tests on the vectorized release build)"
+cargo test -q --release -p ganopc-fft
+
+echo "==> allocation regression (steady-state train/infer/litho/ILT must not allocate)"
 cargo test -q -p ganopc-core --test alloc_regression
 
 echo "==> fault soak (seeded fault plans: typed failures, reloadable artifacts)"
