@@ -239,10 +239,10 @@ pub fn measure_baseline(engine: &mut IltEngine, target: &Field) -> FlowMeasureme
     // PANIC: documented above — the figure harness aborts on failure.
     let result = engine.optimize(target).expect("ilt baseline failed");
     let px = engine.model().pixel_nm();
-    let [inner, _, outer] = engine.model().process_window(&result.mask);
+    let [inner, outer] = &result.corner_wafers;
     FlowMeasurement {
         l2_nm2: result.binary_l2_nm2,
-        pvb_nm2: ganopc_litho::metrics::pvb_nm2(&inner, &outer, px),
+        pvb_nm2: ganopc_litho::metrics::pvb_nm2(inner, outer, px),
         runtime_s: result.runtime_s,
     }
 }

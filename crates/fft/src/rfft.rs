@@ -256,21 +256,9 @@ impl RealFft2d {
         let (lanes, m) = (self.height, self.width / 2);
         let mut k = 1;
         while 2 * k < m {
-            let (tk, tmk) = (self.tw[k], self.tw[m - k]);
             let (rk, rmk) = two_rows(re, k, m - k, ld, lanes);
             let (ik, imk) = two_rows(im, k, m - k, ld, lanes);
-            for l in 0..lanes {
-                let zk = Complex::new(rk[l], ik[l]);
-                let zmk = Complex::new(rmk[l], imk[l]);
-                let e = (zk + zmk.conj()).scale(0.5);
-                let d = zk - zmk.conj();
-                // o = -i/2 · d
-                let o = Complex::new(0.5 * d.im, -0.5 * d.re);
-                let xk = e + tk * o;
-                let xmk = e.conj() + tmk * o.conj();
-                (rk[l], ik[l]) = (xk.re, xk.im);
-                (rmk[l], imk[l]) = (xmk.re, xmk.im);
-            }
+            untangle_pair((self.tw[k], self.tw[m - k]), rk, ik, rmk, imk);
             k += 1;
         }
         if m >= 2 {
@@ -280,11 +268,7 @@ impl RealFft2d {
         }
         let (r0, rm) = two_rows(re, 0, m, ld, lanes);
         let (i0, im_) = two_rows(im, 0, m, ld, lanes);
-        for l in 0..lanes {
-            let z0 = Complex::new(r0[l], i0[l]);
-            (rm[l], im_[l]) = (z0.re - z0.im, 0.0);
-            (r0[l], i0[l]) = (z0.re + z0.im, 0.0);
-        }
+        untangle_edges(r0, i0, rm, im_);
     }
 
     /// Tangles spectrum rows across lanes: on entry tile rows `0..=m` hold
@@ -295,43 +279,19 @@ impl RealFft2d {
     // lint: hot-path
     fn tangle_lanes(&self, re: &mut [f32], im: &mut [f32], ld: usize) {
         let (lanes, m) = (self.height, self.width / 2);
-        // General tangle: it does not assume the DC and Nyquist bins are real,
-        // and the inverse's output bits depend on exactly this arithmetic.
         let (r0, rm) = two_rows(re, 0, m, ld, lanes);
         let (i0, im_) = two_rows(im, 0, m, ld, lanes);
-        for l in 0..lanes {
-            let x0 = Complex::new(r0[l], i0[l]);
-            let xm = Complex::new(rm[l], im_[l]);
-            let e0 = (x0 + xm.conj()).scale(0.5);
-            let o0 = (x0 - xm.conj()).scale(0.5);
-            (r0[l], i0[l]) = (e0.re - o0.im, e0.im + o0.re); // e0 + i·o0
-        }
+        tangle_edges(r0, i0, rm, im_);
         let mut k = 1;
         while 2 * k < m {
-            let twc = self.tw[k].conj();
             let (rk, rmk) = two_rows(re, k, m - k, ld, lanes);
             let (ik, imk) = two_rows(im, k, m - k, ld, lanes);
-            for l in 0..lanes {
-                let xk = Complex::new(rk[l], ik[l]);
-                let xmk = Complex::new(rmk[l], imk[l]);
-                let e = (xk + xmk.conj()).scale(0.5);
-                let t = (xk - xmk.conj()).scale(0.5);
-                let o = t * twc;
-                (rk[l], ik[l]) = (e.re - o.im, e.im + o.re); // e + i·o
-                let (ec, oc) = (e.conj(), o.conj());
-                (rmk[l], imk[l]) = (ec.re - oc.im, ec.im + oc.re);
-            }
+            tangle_pair(self.tw[k].conj(), rk, ik, rmk, imk);
             k += 1;
         }
         if m >= 2 {
-            let twc = self.tw[m / 2].conj();
-            let (a, b) = (m / 2 * ld, m / 2 * ld + lanes);
-            for (r, i) in re[a..b].iter_mut().zip(&mut im[a..b]) {
-                let x = Complex::new(*r, *i);
-                let e = (x + x.conj()).scale(0.5);
-                let o = (x - x.conj()).scale(0.5) * twc;
-                (*r, *i) = (e.re - o.im, e.im + o.re);
-            }
+            let a = m / 2 * ld;
+            tangle_middle(self.tw[m / 2].conj(), &mut re[a..][..lanes], &mut im[a..][..lanes]);
         }
     }
 }
@@ -358,6 +318,101 @@ fn two_rows(
 ) -> (&mut [f32], &mut [f32]) {
     let (head, tail) = plane.split_at_mut(b * ld);
     (&mut head[a * ld..][..lanes], &mut tail[..lanes])
+}
+
+// The lane loops below are free functions whose rows arrive as distinct
+// `&mut [f32]` arguments. Every row a transform touches is carved out of
+// one thread-local `Vec`. A loop that takes two rows of one plane through
+// `two_rows` itself cannot tell them apart, so LLVM guards its vector body
+// with an alias check. For a row pair `k`, `m − k` that check is hoisted
+// out of the `k` loop as one flag, which is always set because the two
+// rows move in opposite directions, and every pair ran the scalar
+// fallback. Rows that arrive as arguments are `noalias`, which survives
+// inlining, so the vector body runs unguarded. The per-lane arithmetic is
+// exactly that of untangling or tangling one row.
+
+/// Untangles bins `k` and `m − k` (real parts `rk`, `rmk`, imaginary parts
+/// `ik`, `imk`) of every lane, with the twiddles `(tw[k], tw[m − k])`.
+// lint: hot-path
+fn untangle_pair(
+    (tk, tmk): (Complex, Complex),
+    rk: &mut [f32],
+    ik: &mut [f32],
+    rmk: &mut [f32],
+    imk: &mut [f32],
+) {
+    let lanes = rk.len();
+    let (ik, rmk, imk) = (&mut ik[..lanes], &mut rmk[..lanes], &mut imk[..lanes]);
+    for l in 0..lanes {
+        let zk = Complex::new(rk[l], ik[l]);
+        let zmk = Complex::new(rmk[l], imk[l]);
+        let e = (zk + zmk.conj()).scale(0.5);
+        let d = zk - zmk.conj();
+        // o = -i/2 · d
+        let o = Complex::new(0.5 * d.im, -0.5 * d.re);
+        let xk = e + tk * o;
+        let xmk = e.conj() + tmk * o.conj();
+        (rk[l], ik[l]) = (xk.re, xk.im);
+        (rmk[l], imk[l]) = (xmk.re, xmk.im);
+    }
+}
+
+/// Untangles the DC bin `(r0, i0)` of every lane into the real DC and
+/// Nyquist bins, the latter written to `(rm, im)`.
+// lint: hot-path
+fn untangle_edges(r0: &mut [f32], i0: &mut [f32], rm: &mut [f32], im: &mut [f32]) {
+    let lanes = r0.len();
+    let (i0, rm, im) = (&mut i0[..lanes], &mut rm[..lanes], &mut im[..lanes]);
+    for l in 0..lanes {
+        let z0 = Complex::new(r0[l], i0[l]);
+        (rm[l], im[l]) = (z0.re - z0.im, 0.0);
+        (r0[l], i0[l]) = (z0.re + z0.im, 0.0);
+    }
+}
+
+/// Tangles the DC and Nyquist bins `(r0, i0)`, `(rm, im)` of every lane
+/// into slot 0. General: it does not assume the two bins are real, and
+/// the inverse's output bits depend on exactly this arithmetic.
+// lint: hot-path
+fn tangle_edges(r0: &mut [f32], i0: &mut [f32], rm: &[f32], im: &[f32]) {
+    let lanes = r0.len();
+    let (i0, rm, im) = (&mut i0[..lanes], &rm[..lanes], &im[..lanes]);
+    for l in 0..lanes {
+        let x0 = Complex::new(r0[l], i0[l]);
+        let xm = Complex::new(rm[l], im[l]);
+        let e0 = (x0 + xm.conj()).scale(0.5);
+        let o0 = (x0 - xm.conj()).scale(0.5);
+        (r0[l], i0[l]) = (e0.re - o0.im, e0.im + o0.re); // e0 + i·o0
+    }
+}
+
+/// Tangles bins `k` and `m − k` of every lane with `twc = conj(tw[k])`.
+// lint: hot-path
+fn tangle_pair(twc: Complex, rk: &mut [f32], ik: &mut [f32], rmk: &mut [f32], imk: &mut [f32]) {
+    let lanes = rk.len();
+    let (ik, rmk, imk) = (&mut ik[..lanes], &mut rmk[..lanes], &mut imk[..lanes]);
+    for l in 0..lanes {
+        let xk = Complex::new(rk[l], ik[l]);
+        let xmk = Complex::new(rmk[l], imk[l]);
+        let e = (xk + xmk.conj()).scale(0.5);
+        let t = (xk - xmk.conj()).scale(0.5);
+        let o = t * twc;
+        (rk[l], ik[l]) = (e.re - o.im, e.im + o.re); // e + i·o
+        let (ec, oc) = (e.conj(), o.conj());
+        (rmk[l], imk[l]) = (ec.re - oc.im, ec.im + oc.re);
+    }
+}
+
+/// Tangles the self-paired bin `m/2` of every lane with
+/// `twc = conj(tw[m/2])`.
+// lint: hot-path
+fn tangle_middle(twc: Complex, re: &mut [f32], im: &mut [f32]) {
+    for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+        let x = Complex::new(*r, *i);
+        let e = (x + x.conj()).scale(0.5);
+        let o = (x - x.conj()).scale(0.5) * twc;
+        (*r, *i) = (e.re - o.im, e.im + o.re);
+    }
 }
 
 /// Image rows the packing transposes move per block: the block's source
@@ -396,12 +451,13 @@ fn unpack_rows(re: &[f32], im: &[f32], ld: usize, real: &mut [f32], w: usize) {
 }
 
 /// `dst[c * dst_ld + r] = src[r * src_ld + c]` for `r < rows`, `c < cols`,
-/// writing each destination row contiguously.
+/// writing each destination row contiguously. The source is walked as
+/// exact rows so the read needs no bounds check per element.
 // lint: hot-path
 fn transpose(src: &[f32], src_ld: usize, dst: &mut [f32], dst_ld: usize, rows: usize, cols: usize) {
     for (c, d) in dst.chunks_mut(dst_ld).take(cols).enumerate() {
-        for (r, v) in d[..rows].iter_mut().enumerate() {
-            *v = src[r * src_ld + c];
+        for (v, row) in d[..rows].iter_mut().zip(src.chunks_exact(src_ld)) {
+            *v = row[c];
         }
     }
 }

@@ -268,10 +268,12 @@ impl GanOpcFlow {
         let refined = self.engine.optimize_from(target, &generator_mask)?;
         let refinement_runtime_s = refine_span.finish().as_secs_f64();
 
-        let metrics = MaskMetrics::evaluate(
-            self.engine.model(),
-            &refined.mask,
+        // The refinement already printed its mask at the three doses.
+        let [inner, outer] = &refined.corner_wafers;
+        let metrics = MaskMetrics::from_prints(
+            [inner, &refined.wafer, outer],
             target,
+            self.engine.model().pixel_nm(),
             &DefectConfig::default(),
         );
         Ok(FlowResult {
@@ -329,6 +331,12 @@ mod tests {
         assert!(result.total_runtime_s >= result.refinement_runtime_s);
         assert!(result.refinement_iterations > 0);
         assert_eq!(result.metrics.l2_nm2, result.l2_nm2);
+        // The wafer and metrics come from the refinement's own dose prints;
+        // imaging the mask again must reproduce both exactly.
+        let model = flow.model();
+        assert_eq!(result.wafer, model.print_nominal(&result.mask));
+        let fresh = MaskMetrics::evaluate(model, &result.mask, &target, &DefectConfig::default());
+        assert_eq!(result.metrics, fresh);
     }
 
     #[test]

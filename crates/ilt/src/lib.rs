@@ -207,6 +207,10 @@ pub struct IltResult {
     pub mask_relaxed: Field,
     /// Binary wafer image of the final mask at nominal dose.
     pub wafer: Field,
+    /// Binary wafer images of the final mask at `1 − δ` and `1 + δ` dose,
+    /// the process-window corners of [`LithoModel::process_window`] (the
+    /// PVB inputs).
+    pub corner_wafers: [Field; 2],
     /// Relaxed lithography error `E` per iteration (Eq. (11)).
     pub l2_history: Vec<f64>,
     /// Squared L2 of the final *binary* wafer vs target, nm².
@@ -411,16 +415,18 @@ impl IltEngine {
             }
         }
 
-        // Binarize the best parametrization and evaluate it for real.
+        // Binarize the best parametrization and evaluate it for real: one
+        // aerial image prints the mask at all three process-window doses.
         let mask_relaxed = best_p.map(|v| 1.0 / (1.0 + (-beta * v).exp()));
         let mask = mask_relaxed.binarize(0.5);
-        let wafer = self.model.print_nominal(&mask);
+        let [inner, wafer, outer] = self.model.process_window(&mask);
         let binary_l2_nm2 =
             ganopc_litho::metrics::squared_l2_nm2(&wafer, target, self.model.pixel_nm());
         Ok(IltResult {
             mask,
             mask_relaxed,
             wafer,
+            corner_wafers: [inner, outer],
             l2_history: history,
             binary_l2_nm2,
             iterations,

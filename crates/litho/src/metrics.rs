@@ -358,7 +358,7 @@ impl MaskMetrics {
     /// Evaluates a mask against a target with a lithography model.
     ///
     /// Runs the full ±δ-dose process window once and derives every metric
-    /// from it.
+    /// from it through [`MaskMetrics::from_prints`].
     pub fn evaluate(
         model: &LithoModel,
         mask: &Field,
@@ -366,16 +366,28 @@ impl MaskMetrics {
         cfg: &DefectConfig,
     ) -> MaskMetrics {
         let [inner, nominal, outer] = model.process_window(mask);
-        let px = model.pixel_nm();
-        let (epe_violations, epe_measurements) = epe_violations(&nominal, target, px, cfg);
+        MaskMetrics::from_prints([&inner, &nominal, &outer], target, model.pixel_nm(), cfg)
+    }
+
+    /// Derives every metric from a mask's three dose prints, ordered as
+    /// [`LithoModel::process_window`] returns them: `1 − δ`, nominal,
+    /// `1 + δ`. For callers that already hold the prints, such as an ILT
+    /// result, so the mask is not imaged again.
+    pub fn from_prints(
+        [inner, nominal, outer]: [&Field; 3],
+        target: &Field,
+        pixel_nm: f64,
+        cfg: &DefectConfig,
+    ) -> MaskMetrics {
+        let (epe_violations, epe_measurements) = epe_violations(nominal, target, pixel_nm, cfg);
         MaskMetrics {
-            l2_nm2: squared_l2_nm2(&nominal, target, px),
-            pvb_nm2: pvb_nm2(&inner, &outer, px),
+            l2_nm2: squared_l2_nm2(nominal, target, pixel_nm),
+            pvb_nm2: pvb_nm2(inner, outer, pixel_nm),
             epe_violations,
             epe_measurements,
-            bridges: bridge_count(&nominal, target),
-            breaks: break_count(&nominal, target),
-            necks: neck_count(&nominal, target, cfg),
+            bridges: bridge_count(nominal, target),
+            breaks: break_count(nominal, target),
+            necks: neck_count(nominal, target, cfg),
         }
     }
 }

@@ -298,8 +298,9 @@ impl LithoModel {
         self.rfft.forward(real, half, &mut unused_scratch()).expect("planned size");
     }
 
-    /// Inverse real FFT of the packed half-spectrum `half` (destroyed) into
-    /// the frame-sized `real` field.
+    /// Inverse real FFT of the packed half-spectrum `half` into the
+    /// frame-sized `real` field. `half` is only read; the transform keeps
+    /// its `&mut` parameter for source compatibility.
     // lint: hot-path
     fn rfft_inverse(&self, half: &mut [Complex], real: &mut [f32]) {
         // PANIC: every caller sizes its buffers from this plan.
@@ -351,13 +352,17 @@ impl LithoModel {
         });
     }
 
-    /// Accumulates `Σ_k w_k (p_k² + q_k²)` into `intensity`, serially in
-    /// kernel order so the result does not depend on the worker count.
+    /// Writes the intensity `Σ_k w_k (p_k² + q_k²)` of the frame pixels
+    /// `first .. first + out.len()` into `out`, that range's slice of the
+    /// intensity buffer. Each pixel starts from zero and adds the kernels in
+    /// kernel order, real component before imaginary, so its bits do not
+    /// depend on how the frame was split into ranges.
     // lint: hot-path
-    fn accumulate_intensity(&self, fields: &[KernelFields], intensity: &mut [f32]) {
+    fn intensity_rows(&self, fields: &[KernelFields], first: usize, out: &mut [f32]) {
+        out.fill(0.0);
         for ((w, _), (p, q, _)) in self.spectra.iter().zip(fields) {
             for comp in [p, q].into_iter().flatten() {
-                for (acc, &v) in intensity.iter_mut().zip(comp.iter()) {
+                for (acc, &v) in out.iter_mut().zip(&comp[first..]) {
                     *acc += w * v * v;
                 }
             }
@@ -450,8 +455,15 @@ impl LithoModel {
         with_field_slots(self.spectra.len(), |fields| {
             self.convolved_fields_into(&mask_half, fields);
             self.arena.put_complex(mask_half);
-            intensity.fill(0.0);
-            self.accumulate_intensity(fields, intensity);
+            let (width, fields_ref) = (self.width, &*fields);
+            let out = pool::DisjointMut::new(intensity);
+            pool::run_chunks(self.height, |rows| {
+                let (first, end) = (rows.start * width, rows.end * width);
+                // SAFETY: run_chunks row ranges partition the frame, so these
+                // pixels are written by exactly this chunk.
+                let out = unsafe { out.slice_mut(first..end) };
+                self.intensity_rows(fields_ref, first, out);
+            });
             self.release_fields(fields);
         });
         Ok(())
@@ -560,21 +572,38 @@ impl LithoModel {
             self.convolved_fields_into(&mask_half, fields);
             self.arena.put_complex(mask_half);
 
-            // Aerial image, then the error and the chain factor
+            // Aerial image, then the chain factor
             // g = 2α·dose (Z − Z_t) ⊙ Z ⊙ (1 − Z) of the relaxed wafer
-            // `Z = σ(α(dose·I − I_th))`.
-            let mut intensity = self.arena.take_real(n);
-            self.accumulate_intensity(fields, &mut intensity);
+            // `Z = σ(α(dose·I − I_th))`, fanned out over frame rows. The
+            // sweep overwrites each pixel's intensity with its residual
+            // `d = Z − Z_t`; the error `Σ d²` is then summed in f64 on this
+            // thread in pixel order, so its bits do not depend on the split.
+            let mut resid = self.arena.take_real(n);
             let mut g = self.arena.take_real(n);
             let alpha = self.sigmoid_alpha;
             let th = self.threshold;
             let chain = 2.0 * alpha * dose;
+            let (width, fields_ref, tgt) = (self.width, &*fields, target.as_slice());
+            let (resid_rows, g_rows) =
+                (pool::DisjointMut::new(&mut resid[..]), pool::DisjointMut::new(&mut g[..]));
+            pool::run_chunks(self.height, |rows| {
+                let (first, end) = (rows.start * width, rows.end * width);
+                // SAFETY: run_chunks row ranges partition the frame, so these
+                // pixels are written by exactly this chunk.
+                let ds = unsafe { resid_rows.slice_mut(first..end) };
+                // SAFETY: the same pixels of the other buffer, as above.
+                let gs = unsafe { g_rows.slice_mut(first..end) };
+                self.intensity_rows(fields_ref, first, ds);
+                for ((gi, di), &ti) in gs.iter_mut().zip(ds.iter_mut()).zip(&tgt[first..end]) {
+                    let zv = 1.0 / (1.0 + (-alpha * (dose * *di - th)).exp());
+                    let d = zv - ti;
+                    *di = d;
+                    *gi = chain * d * zv * (1.0 - zv);
+                }
+            });
             let mut error = 0.0f64;
-            for ((gi, &ii), &ti) in g.iter_mut().zip(intensity.iter()).zip(target.as_slice()) {
-                let zv = 1.0 / (1.0 + (-alpha * (dose * ii - th)).exp());
-                let d = zv - ti;
+            for &d in resid.iter() {
                 error += (d as f64) * (d as f64);
-                *gi = chain * d * zv * (1.0 - zv);
             }
 
             // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
@@ -586,7 +615,8 @@ impl LithoModel {
             // of one per kernel. Kernel indices fan out over the pool through
             // the allocation-free run_chunks path; each job consumes its slot's
             // convolved fields and leaves the kernel's weighted adjoint
-            // half-spectrum in the slot, summed below in kernel order so the
+            // half-spectrum in the slot. The sum below fans out over spectrum
+            // rows, and every bin adds the kernels in kernel order, so the
             // gradient bits do not depend on how many workers ran.
             let g_ref = &g;
             let slots = pool::DisjointMut::new(&mut fields[..]);
@@ -632,17 +662,29 @@ impl LithoModel {
                 }
             });
             let mut sum = self.arena.take_complex(slen);
-            for slot in fields.iter_mut() {
-                let Some(w_spec) = slot.2.take() else { continue };
-                for (acc, &c) in sum.iter_mut().zip(w_spec.iter()) {
-                    *acc += c;
+            let (hw, fields_ref) = (self.rfft.half_width(), &*fields);
+            let sum_rows = pool::DisjointMut::new(&mut sum[..]);
+            pool::run_chunks(self.height, |rows| {
+                let (first, end) = (rows.start * hw, rows.end * hw);
+                // SAFETY: run_chunks row ranges partition the spectrum, so
+                // these bins are written by exactly this chunk.
+                let acc = unsafe { sum_rows.slice_mut(first..end) };
+                for (_, _, w_spec) in fields_ref {
+                    let Some(w_spec) = w_spec else { continue };
+                    for (a, &c) in acc.iter_mut().zip(&w_spec[first..end]) {
+                        *a += c;
+                    }
                 }
-                self.arena.put_complex(w_spec);
+            });
+            for slot in fields.iter_mut() {
+                if let Some(w_spec) = slot.2.take() {
+                    self.arena.put_complex(w_spec);
+                }
             }
             self.rfft_inverse(&mut sum, grad);
             self.arena.put_complex(sum);
             self.arena.put_real(g);
-            self.arena.put_real(intensity);
+            self.arena.put_real(resid);
             Ok(error)
         })
     }
