@@ -136,22 +136,36 @@ impl OpcDataset {
     ///
     /// Panics on out-of-range indices or an empty index list.
     pub fn batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
+        let (mut targets, mut masks) = (Tensor::zeros(&[1]), Tensor::zeros(&[1]));
+        self.stack_into(&self.targets, indices, &mut targets);
+        self.stack_into(&self.masks, indices, &mut masks);
+        (targets, masks)
+    }
+
+    /// Writes the targets of instances `indices` into `out`, resized in
+    /// place to `[B, 1, size, size]`: the mini-batch Algorithm 2 reads,
+    /// without the reference masks it never uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices or an empty index list.
+    pub(crate) fn targets_into(&self, indices: &[usize], out: &mut Tensor) {
+        self.stack_into(&self.targets, indices, out);
+    }
+
+    fn stack_into(&self, fields: &[Field], indices: &[usize], out: &mut Tensor) {
         assert!(!indices.is_empty(), "empty mini-batch");
         let plane = self.size * self.size;
-        let mut t = Vec::with_capacity(indices.len() * plane);
-        let mut m = Vec::with_capacity(indices.len() * plane);
-        for &i in indices {
-            t.extend_from_slice(self.targets[i].as_slice());
-            m.extend_from_slice(self.masks[i].as_slice());
+        out.resize(&[indices.len(), 1, self.size, self.size]);
+        for (dst, &i) in out.as_mut_slice().chunks_exact_mut(plane).zip(indices) {
+            dst.copy_from_slice(fields[i].as_slice());
         }
-        let shape = [indices.len(), 1, self.size, self.size];
-        (Tensor::from_vec(&shape, t), Tensor::from_vec(&shape, m))
     }
 
     /// Deterministically shuffled index order for one epoch.
     pub fn epoch_order(&self, seed: u64) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut order = Vec::new();
+        shuffle_into(&mut order, self.len(), seed);
         order
     }
 
@@ -202,6 +216,22 @@ impl EpochStream {
         self.seed
     }
 
+    /// Moves the stream to a saved `(epoch, cursor)` position in place: the
+    /// same stream [`EpochStream::at_position`] would build, reshuffled
+    /// into the existing order buffer only when the epoch or the dataset
+    /// length changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cursor` exceeds the dataset length.
+    pub(crate) fn seek(&mut self, dataset: &OpcDataset, epoch: u64, cursor: usize) {
+        assert!(cursor <= dataset.len(), "cursor {cursor} beyond dataset of {}", dataset.len());
+        if epoch != self.epoch || self.order.len() != dataset.len() {
+            shuffle_into(&mut self.order, dataset.len(), self.seed.wrapping_add(epoch));
+        }
+        (self.epoch, self.cursor) = (epoch, cursor);
+    }
+
     /// Draws the next `batch_size` instance indices, reshuffling at epoch
     /// boundaries (Algorithm 1 line 2).
     ///
@@ -210,20 +240,45 @@ impl EpochStream {
     /// Panics when `batch_size` is zero or `dataset` does not match the
     /// stream (fewer instances than the saved cursor).
     pub fn next_batch(&mut self, dataset: &OpcDataset, batch_size: usize) -> Vec<usize> {
+        let mut indices = Vec::with_capacity(batch_size);
+        self.next_batch_into(dataset, batch_size, &mut indices);
+        indices
+    }
+
+    /// [`EpochStream::next_batch`] into a caller-owned buffer: once
+    /// `indices` and the stream's order have their capacity, drawing (epoch
+    /// boundaries included) allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`EpochStream::next_batch`].
+    pub(crate) fn next_batch_into(
+        &mut self,
+        dataset: &OpcDataset,
+        batch_size: usize,
+        indices: &mut Vec<usize>,
+    ) {
         assert!(batch_size > 0, "empty mini-batch");
         assert_eq!(self.order.len(), dataset.len(), "stream bound to another dataset");
-        let mut indices = Vec::with_capacity(batch_size);
+        indices.clear();
         while indices.len() < batch_size {
             if self.cursor == self.order.len() {
                 self.epoch += 1;
-                self.order = dataset.epoch_order(self.seed.wrapping_add(self.epoch));
+                shuffle_into(&mut self.order, dataset.len(), self.seed.wrapping_add(self.epoch));
                 self.cursor = 0;
             }
             indices.push(self.order[self.cursor]);
             self.cursor += 1;
         }
-        indices
     }
+}
+
+/// Overwrites `order` with the permutation of `0..len` that shuffling with
+/// `seed` gives, reusing its capacity.
+fn shuffle_into(order: &mut Vec<usize>, len: usize, seed: u64) {
+    order.clear();
+    order.extend(0..len);
+    order.shuffle(&mut StdRng::seed_from_u64(seed));
 }
 
 #[cfg(test)]
@@ -311,6 +366,21 @@ mod tests {
         drawn.extend((0..4).map(|_| resumed.next_batch(&ds, 2)));
         let reference: Vec<Vec<usize>> = (0..8).map(|_| straight.next_batch(&ds, 2)).collect();
         assert_eq!(drawn, reference);
+    }
+
+    #[test]
+    fn seek_matches_at_position() {
+        let ds = tiny();
+        let mut stream = ds.epoch_stream(5);
+        for (epoch, cursor) in [(0, 1), (0, 1), (2, 0), (2, 3), (1, 2)] {
+            let _ = stream.next_batch(&ds, 2);
+            stream.seek(&ds, epoch, cursor);
+            let mut fresh = EpochStream::at_position(&ds, 5, epoch, cursor);
+            for _ in 0..3 {
+                assert_eq!(stream.next_batch(&ds, 2), fresh.next_batch(&ds, 2));
+            }
+            assert_eq!(stream.position(), fresh.position());
+        }
     }
 
     #[test]

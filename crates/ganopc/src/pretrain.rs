@@ -11,9 +11,9 @@
 //! convergence (Fig. 7).
 
 use crate::dataset::EpochStream;
-use crate::{tensor_to_field, GanOpcError, Generator, OpcDataset};
+use crate::{GanOpcError, Generator, OpcDataset};
 use ganopc_fault as fault;
-use ganopc_litho::LithoModel;
+use ganopc_litho::{Field, LithoModel};
 use ganopc_nn::checkpoint::Checkpoint;
 use ganopc_nn::optim::Sgd;
 use ganopc_nn::{pool, Tensor};
@@ -131,9 +131,36 @@ pub fn pretrain_generator(
         dataset,
         config,
         &mut stream,
+        &mut StepBuffers::new(),
         &mut step,
         config.iterations,
     )
+}
+
+/// The buffers one Algorithm 2 step writes: the mini-batch indices and
+/// targets, the generated masks and their litho fields, the batch gradient
+/// and the per-sample error slots. Sized by the first step and reused, so a
+/// warm step performs no heap allocation.
+struct StepBuffers {
+    indices: Vec<usize>,
+    targets: Tensor,
+    masks: Tensor,
+    fields: Vec<Field>,
+    grad: Tensor,
+    errors: Vec<Result<f64, GanOpcError>>,
+}
+
+impl StepBuffers {
+    fn new() -> Self {
+        StepBuffers {
+            indices: Vec::new(),
+            targets: Tensor::zeros(&[1]),
+            masks: Tensor::zeros(&[1]),
+            fields: Vec::new(),
+            grad: Tensor::zeros(&[1]),
+            errors: Vec::new(),
+        }
+    }
 }
 
 fn check_shapes(
@@ -169,23 +196,21 @@ fn run_steps(
     dataset: &OpcDataset,
     config: &PretrainConfig,
     stream: &mut EpochStream,
+    bufs: &mut StepBuffers,
     step: &mut usize,
     steps: usize,
 ) -> Result<Vec<PretrainStats>, GanOpcError> {
     let mut stats = Vec::with_capacity(steps);
-    // Persistent step buffers: the generated masks, the batch gradient and
-    // the per-sample error slots are sized once and reused for every
-    // mini-batch, so the steady-state loop performs no heap allocation.
-    let mut masks = Tensor::zeros(&[1]);
-    let mut grad = Tensor::zeros(&[1]);
-    let mut errors: Vec<Result<f64, GanOpcError>> = Vec::new();
+    let StepBuffers { indices, targets, masks, fields, grad, errors } = bufs;
+    let size = dataset.size();
+    let plane = size * size;
     for _ in 0..steps {
         let _step_span = obs::span(obs::Span::PretrainStep);
         obs::counter_add(obs::Counter::PretrainSteps, 1);
-        let indices = stream.next_batch(dataset, config.batch_size);
-        let (targets, _) = dataset.batch(&indices);
+        stream.next_batch_into(dataset, config.batch_size, indices);
+        dataset.targets_into(indices, targets);
         // Line 5: M ← G(Z_t).
-        generator.forward_into(&targets, &mut masks, true);
+        generator.forward_into(targets, masks, true);
         // Lines 6–8: litho-simulate each mask, collect ∂E/∂M. Samples are
         // independent, so they fan out over the shared worker crew; each
         // chunk writes its samples' slices of the batch gradient and error
@@ -193,20 +218,21 @@ fn run_steps(
         // the result is identical for any `GANOPC_THREADS` setting.
         let batch = indices.len();
         grad.resize(masks.shape());
-        let plane = dataset.size() * dataset.size();
+        fields.resize_with(batch, || Field::zeros(size, size));
+        for (field, mask) in fields.iter_mut().zip(masks.as_slice().chunks_exact(plane)) {
+            field.as_mut_slice().copy_from_slice(mask);
+        }
         errors.clear();
         errors.resize_with(batch, || Ok(0.0));
         let gview = pool::DisjointMut::new(&mut grad.as_mut_slice()[..batch * plane]);
         let eview = pool::DisjointMut::new(&mut errors[..batch]);
-        let masks_ref = &masks;
-        let indices_ref = &indices;
+        let (fields_ref, indices_ref) = (&*fields, &*indices);
         // This fan-out is the litho phase of pretraining: one adjoint
         // gradient simulation per sample, across the worker crew.
         let litho_span = obs::span(obs::Span::PretrainLitho);
         pool::run_chunks(batch, |samples| {
             for bi in samples {
                 let di = indices_ref[bi];
-                let mask_field = tensor_to_field(masks_ref, bi);
                 // SAFETY: run_chunks sample ranges partition 0..batch, so
                 // each `bi` (and hence each gradient plane and error slot)
                 // is visited by exactly one chunk.
@@ -216,7 +242,7 @@ fn run_steps(
                 // the aerial and wafer images it would otherwise build are
                 // never needed here.
                 let err = model
-                    .gradient_into(&mask_field, &dataset.targets()[di], 1.0, gslice)
+                    .gradient_into(&fields_ref[bi], &dataset.targets()[di], 1.0, gslice)
                     .map_err(GanOpcError::from);
                 // SAFETY: as above — sample ranges are disjoint.
                 *unsafe { eview.index_mut(bi) } = err;
@@ -224,14 +250,14 @@ fn run_steps(
         });
         drop(litho_span);
         let mut err_total = 0.0f64;
-        for err in &mut errors {
+        for err in errors.iter_mut() {
             err_total += std::mem::replace(err, Ok(0.0))?;
         }
         // Line 10: W_g ← W_g − (λ/m)·ΔW_g, with the 1/m scale applied in
         // place and the unused input gradient skipped entirely.
         generator.zero_grads();
         grad.scale_assign(1.0 / batch as f32);
-        generator.backward_discard(&grad);
+        generator.backward_discard(grad);
         opt.step(generator.net_mut());
         *step += 1;
         let mut litho_error = err_total / batch as f64;
@@ -274,6 +300,11 @@ pub struct Pretrainer {
     step: usize,
     epoch: u64,
     cursor: usize,
+    /// The shuffle stream and step buffers, kept warm across
+    /// [`Pretrainer::train_for`] calls; rebuilt from `(epoch, cursor)`,
+    /// never persisted.
+    stream: Option<EpochStream>,
+    bufs: StepBuffers,
 }
 
 impl Pretrainer {
@@ -287,7 +318,8 @@ impl Pretrainer {
         // at construction, not a runtime condition to recover from.
         config.validate().expect("invalid pre-training configuration");
         let opt = Sgd::new(config.lr, config.momentum);
-        Pretrainer { generator, opt, config, step: 0, epoch: 0, cursor: 0 }
+        let (stream, bufs) = (None, StepBuffers::new());
+        Pretrainer { generator, opt, config, step: 0, epoch: 0, cursor: 0, stream, bufs }
     }
 
     /// Steps completed so far (across save/resume cycles).
@@ -345,15 +377,26 @@ impl Pretrainer {
         steps: usize,
     ) -> Result<Vec<PretrainStats>, GanOpcError> {
         check_shapes(&self.generator, model, dataset)?;
-        let mut stream =
-            EpochStream::at_position(dataset, self.config.seed, self.epoch, self.cursor);
+        let stream = match &mut self.stream {
+            Some(stream) => {
+                stream.seek(dataset, self.epoch, self.cursor);
+                stream
+            }
+            empty => empty.insert(EpochStream::at_position(
+                dataset,
+                self.config.seed,
+                self.epoch,
+                self.cursor,
+            )),
+        };
         let result = run_steps(
             &mut self.generator,
             &mut self.opt,
             model,
             dataset,
             &self.config,
-            &mut stream,
+            stream,
+            &mut self.bufs,
             &mut self.step,
             steps,
         );
@@ -412,7 +455,8 @@ impl Pretrainer {
         let step = ck.get_u64("progress/step")? as usize;
         let epoch = ck.get_u64("progress/epoch")?;
         let cursor = ck.get_u64("progress/cursor")? as usize;
-        Ok(Pretrainer { generator, opt, config, step, epoch, cursor })
+        let (stream, bufs) = (None, StepBuffers::new());
+        Ok(Pretrainer { generator, opt, config, step, epoch, cursor, stream, bufs })
     }
 
     /// Atomically writes the complete pre-training state to `path`.

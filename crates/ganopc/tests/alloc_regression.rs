@@ -22,8 +22,14 @@
 //! gradient and aerial image allocate nothing at 1 and 4 threads (the FFT
 //! working planes are per-thread and grow once), and a warm ILT run's
 //! allocation count does not depend on how many descent iterations it takes.
+//!
+//! So is Algorithm 2: a warm `Pretrainer` reuses its shuffle stream and step
+//! buffers across `train_for` calls, so its allocation count does not depend
+//! on how many steps (and epoch boundaries) a call runs.
 
-use ganopc_core::{Discriminator, GanTrainer, Generator, OpcDataset, TrainConfig};
+use ganopc_core::{
+    Discriminator, GanTrainer, Generator, OpcDataset, PretrainConfig, Pretrainer, TrainConfig,
+};
 use ganopc_ilt::{IltConfig, IltEngine};
 use ganopc_litho::{Field, LithoModel, OpticalConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -207,6 +213,29 @@ fn steady_state_training_and_inference_allocate_nothing() {
     let best = |h: &[f64]| h.iter().copied().fold(f64::INFINITY, f64::min);
     assert!(best(&history[8..]) < best(&history[..8]), "no new best mask after iteration 8");
     assert_eq!(short, long, "warm ILT allocated {short} times at 8 iterations, {long} at 16");
+
+    // Algorithm 2: four clips at batch 2 cross an epoch boundary every two
+    // steps. After a warm call, 3 and 6 further steps allocate the same
+    // count (the returned statistics vector). Serial only: through the
+    // crew, which worker first serves a whole-sample gradient depends on
+    // chunk claiming, and that worker's per-thread litho scratch grows then.
+    let mut optics = OpticalConfig::default_32nm(2048.0 / 32.0);
+    optics.pupil_grid = 11;
+    optics.num_kernels = 6;
+    let pre_model = LithoModel::new(optics, 32, 32).unwrap();
+    let config =
+        PretrainConfig { iterations: 1000, batch_size: 2, lr: 0.01, momentum: 0.5, seed: 9 };
+    let mut pretrainer = Pretrainer::new(Generator::new(32, 4, 5), config);
+    pretrainer.train_for(&pre_model, &dataset, 4).unwrap();
+    let mut count = |steps: usize| {
+        let before = allocations();
+        let stats = pretrainer.train_for(&pre_model, &dataset, steps).unwrap();
+        let delta = allocations() - before;
+        assert_eq!(stats.len(), steps);
+        delta
+    };
+    let (short, long) = (count(3), count(6));
+    assert_eq!(short, long, "warm pretraining allocated {short} times in 3 steps, {long} in 6");
 
     ganopc_nn::pool::set_max_threads(None);
 }

@@ -128,6 +128,13 @@ fn pretraining_resumes_bit_identically() {
     let straight_stats = straight.train(&model, &ds).unwrap();
     assert_eq!(straight_stats, oneshot_stats, "Pretrainer diverged from pretrain_generator");
 
+    // Split without a checkpoint: the warm stream and step buffers carry
+    // over from one `train_for` call to the next.
+    let mut split = Pretrainer::new(Generator::new(32, 4, 9), config.clone());
+    let mut split_stats = split.train_for(&model, &ds, 2).unwrap();
+    split_stats.extend(split.train(&model, &ds).unwrap());
+    assert_eq!(split_stats, straight_stats, "split pre-training trajectory diverged");
+
     // Interrupted: 2 steps, checkpoint, fresh pre-trainer, remaining 3.
     let path = temp_path("pretrainer.ckpt");
     let mut first = Pretrainer::new(Generator::new(32, 4, 9), config);

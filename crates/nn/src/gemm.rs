@@ -8,23 +8,36 @@
 //! whole depth block with `f32::mul_add`, and stored once. Keeping the tile
 //! in registers removes the per-depth-step load/store round-trip through
 //! `C` that a plain saxpy formulation pays, which is what lets the FMA
-//! units rather than the L1 store port set the throughput ceiling. Each
-//! `C[i][j]` still accumulates along a single `k`-ascending chain, so the
-//! result is bit-identical to the scalar/saxpy formulations.
+//! units rather than the L1 store port set the throughput ceiling.
+//!
+//! The tile loop is fed from an `A` panel of MR values per depth step:
+//! `Aᵀ` (TN) already stores them contiguously, and `A` (NN, NT) is packed
+//! into a `[KC × MR]` stack panel once per depth block. Each step
+//! broadcasts the MR values against one `NR`-wide `B` row, so the vector
+//! dimension is the `B` row and the loop holds no gather, no scatter and no
+//! layout branch.
 //!
 //! `A·Bᵀ` has no contiguous `B` rows to stream, so it either packs a
 //! transposed `B` tile first (tall products, where the pack cost amortizes
 //! over many rows) or falls back to lane-parallel dot products (short
-//! products).
+//! products: `m < NT_PACK_MIN_ROWS` and `k ≤ NT_DOT_MAX_DEPTH`).
+//!
+//! Every element has one fixed summation chain, whatever the thread count:
+//! - tiled path (NN, TN, packed NT): one `mul_add` chain per `C[i][j]`,
+//!   `k` ascending from +0.0;
+//! - dot path: `LANES` chains, lane `l` taking the depth indices
+//!   `p ≡ l (mod LANES)` in ascending order from +0.0, then the lanes added
+//!   in lane order from −0.0.
 //!
 //! Large products are split across [`crate::pool`] workers along the longer
 //! `C` axis. Each worker owns a disjoint block of `C` and runs the identical
-//! serial kernel over it, so every `C[i][j]` is accumulated in the same
-//! (`k`-ascending) order regardless of the thread count — results are
-//! bit-identical for any `GANOPC_THREADS` setting.
+//! serial kernel over it, so every `C[i][j]` is accumulated along the same
+//! chain regardless of the thread count — results are bit-identical for
+//! any `GANOPC_THREADS` setting.
 //!
-//! Packing scratch lives in a thread-local buffer: steady-state serial calls
-//! (and nested calls from inside pool workers) allocate nothing.
+//! Packing scratch lives on the stack (the `A` panel) and in thread-local
+//! buffers (the transposed `B` tile, column stripes): steady-state serial
+//! calls (and nested calls from inside pool workers) allocate nothing.
 //!
 //! `f32::mul_add` compiles to a single FMA instruction on targets with FMA
 //! (the checked-in `.cargo/config.toml` builds with `-C target-cpu=native`);
@@ -40,20 +53,22 @@ pub const MR: usize = 4;
 /// Micro-tile width in `f32` lanes (two AVX2 registers; also the column
 /// alignment quantum for parallel stripes — one cache line of `f32`).
 pub const NR: usize = 16;
-/// Depth-block size of a `B` tile.
-const KC: usize = 256;
+/// Depth-block size of a `B` tile and of the packed `A` panel.
+pub const KC: usize = 256;
 /// Column-block size of a `B` tile (`KC`×`NC`×4 B stays L2-resident).
-const NC: usize = 512;
+pub const NC: usize = 512;
 /// Below this many multiply-adds the parallel split is not worth the
 /// thread hand-off.
 const PAR_MIN_MULADDS: usize = 1 << 19;
 /// `A·Bᵀ` products at least this tall amortize packing a transposed tile.
-const NT_PACK_MIN_ROWS: usize = 48;
+pub const NT_PACK_MIN_ROWS: usize = 48;
 /// `A·Bᵀ` dot products deeper than this stall on FMA latency (one
 /// accumulator chain), so packing wins even for short products.
-const NT_DOT_MAX_DEPTH: usize = 2048;
+pub const NT_DOT_MAX_DEPTH: usize = 2048;
 /// Lane count of the dot-product partial sums (one AVX2 register).
-const LANES: usize = 8;
+pub const LANES: usize = 8;
+/// Output columns each pass of the dot path computes together.
+const DOT_COLS: usize = 8;
 
 /// Operand layouts: which inputs are stored transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +116,9 @@ pub fn matmul_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n
 fn gemm(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(c.len(), m * n, "output size mismatch");
     c.fill(0.0);
+    if k == 0 {
+        return;
+    }
     if m * k * n < PAR_MIN_MULADDS || pool::max_threads() <= 1 || pool::in_worker() {
         with_pack(|pack| gemm_block(layout, a, b, m, k, n, 0, m, 0, n, c, n, pack));
     } else if m >= n {
@@ -194,13 +212,26 @@ fn gemm_block(
     if layout == Layout::NT && m < NT_PACK_MIN_ROWS && k <= NT_DOT_MAX_DEPTH {
         for i in i_lo..i_hi {
             let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[(i - i_lo) * ldc..];
-            for j in j_lo..j_hi {
-                out_row[j - j_lo] = dot_lanes(a_row, &b[j * k..(j + 1) * k]);
+            let out_row = &mut out[(i - i_lo) * ldc..][..j_hi - j_lo];
+            let b_rows = &b[j_lo * k..j_hi * k];
+            let mut cols = out_row.chunks_exact_mut(DOT_COLS);
+            let mut b_blocks = b_rows.chunks_exact(DOT_COLS * k);
+            for (dst, b_block) in cols.by_ref().zip(b_blocks.by_ref()) {
+                let b_cols: [&[f32]; DOT_COLS] = std::array::from_fn(|c| &b_block[c * k..][..k]);
+                dst.copy_from_slice(&dot_lanes(a_row, b_cols));
+            }
+            for (dst, b_row) in cols.into_remainder().iter_mut().zip(b_blocks.remainder().chunks(k))
+            {
+                [*dst] = dot_lanes(a_row, [b_row]);
             }
         }
         return;
     }
+    // The A panel of one MR-row block over one depth block, `[kc × MR]`
+    // with row stride `a_stride`: packed for NN and NT, where the block's
+    // rows are strided in `A`, and read in place for TN, whose MR values per
+    // depth step are already contiguous.
+    let mut packed = [0.0f32; KC * MR];
     for jc in (j_lo..j_hi).step_by(NC) {
         let nc = NC.min(j_hi - jc);
         for pc in (0..k).step_by(KC) {
@@ -210,48 +241,34 @@ fn gemm_block(
             if layout == Layout::NT {
                 pack_transposed(b, k, pc, kc, jc, nc, pack);
             }
-            let (bt, b_off, b_stride): (&[f32], usize, usize) = match layout {
-                Layout::NN | Layout::TN => (b, pc * n + jc, n),
-                Layout::NT => (pack.as_slice(), 0, nc),
-            };
-            // Register-tiled sweep over the C sub-block. The full-tile path
-            // keeps an MR×NR accumulator array in registers for the whole
-            // depth block; remainder fringes fall back to a per-row scalar
-            // loop with the identical per-element accumulation chain.
-            let a_at = |row: usize, p: usize| match layout {
-                Layout::NN | Layout::NT => a[row * k + pc + p],
-                Layout::TN => a[(pc + p) * m + row],
+            let (bt, b_stride): (&[f32], usize) = match layout {
+                Layout::NN | Layout::TN => (&b[pc * n + jc..], n),
+                Layout::NT => (pack.as_slice(), nc),
             };
             let mut i = i_lo;
             while i < i_hi {
                 let mr = MR.min(i_hi - i);
+                let (panel, a_stride): (&[f32], usize) = match layout {
+                    Layout::TN => (&a[pc * m + i..], m),
+                    Layout::NN | Layout::NT => {
+                        pack_panel(&a[i * k + pc..], k, mr, &mut packed[..kc * MR]);
+                        (&packed[..], MR)
+                    }
+                };
+                let out = &mut out[(i - i_lo) * ldc + (jc - j_lo)..];
                 let mut j = 0;
                 while j < nc {
                     let nr = NR.min(nc - j);
-                    let base = (i - i_lo) * ldc + (jc - j_lo) + j;
                     if mr == MR && nr == NR {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        for (r, row) in acc.iter_mut().enumerate() {
-                            row.copy_from_slice(&out[base + r * ldc..][..NR]);
-                        }
-                        for p in 0..kc {
-                            let b_row = &bt[b_off + p * b_stride + j..][..NR];
-                            for (r, row) in acc.iter_mut().enumerate() {
-                                let av = a_at(i + r, p);
-                                for (cv, &bv) in row.iter_mut().zip(b_row) {
-                                    *cv = av.mul_add(bv, *cv);
-                                }
-                            }
-                        }
-                        for (r, row) in acc.iter().enumerate() {
-                            out[base + r * ldc..][..NR].copy_from_slice(row);
-                        }
+                        tile(panel, a_stride, kc, &bt[j..], b_stride, &mut out[j..], ldc);
                     } else {
+                        // Remainder fringe: one row at a time, with the
+                        // identical per-element accumulation chain.
                         for r in 0..mr {
-                            let orow = &mut out[base + r * ldc..][..nr];
+                            let orow = &mut out[r * ldc + j..][..nr];
                             for p in 0..kc {
-                                let av = a_at(i + r, p);
-                                let b_row = &bt[b_off + p * b_stride + j..][..nr];
+                                let av = panel[p * a_stride + r];
+                                let b_row = &bt[p * b_stride + j..][..nr];
                                 for (cv, &bv) in orow.iter_mut().zip(b_row) {
                                     *cv = av.mul_add(bv, *cv);
                                 }
@@ -266,22 +283,82 @@ fn gemm_block(
     }
 }
 
-/// Fused dot product with `LANES` independent partial sums (broken FMA
-/// latency chain, clean packed codegen); the lanes are folded sequentially
-/// at the end, so the result depends only on the operands.
-#[inline(always)]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    for (av, bv) in a.chunks_exact(LANES).zip(b.chunks_exact(LANES)) {
-        for l in 0..LANES {
-            acc[l] = av[l].mul_add(bv[l], acc[l]);
+/// Packs the first `mr` rows (row stride `k`) of the `A` block starting at
+/// `a` into `panel` as `[kc × MR]`, depth-major. A fringe block
+/// (`mr < MR`) repeats its last row into the unused slots, which the fringe
+/// loop never reads.
+fn pack_panel(a: &[f32], k: usize, mr: usize, panel: &mut [f32]) {
+    let (panel, _) = panel.as_chunks_mut::<MR>();
+    let kc = panel.len();
+    let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[r.min(mr - 1) * k..][..kc]);
+    for (p, dst) in panel.iter_mut().enumerate() {
+        *dst = rows.map(|src| src[p]);
+    }
+}
+
+/// The MR×NR register tile: loads `C`'s tile once, advances every element's
+/// chain through the panel's `kc` depth steps in ascending order, stores
+/// once. The vector dimension is the `B` row: each depth step broadcasts
+/// the panel's MR consecutive values against one pre-sliced row. Kept out
+/// of line so the accumulators stay in registers whatever surrounds the
+/// call.
+#[inline(never)]
+fn tile(
+    panel: &[f32],
+    a_stride: usize,
+    kc: usize,
+    b: &[f32],
+    b_stride: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&out[r * ldc..][..NR]);
+    }
+    for p in 0..kc {
+        let (Some(av), Some(b_row)) =
+            (panel[p * a_stride..].first_chunk::<MR>(), b[p * b_stride..].first_chunk::<NR>())
+        else {
+            // PANIC: callers pass a panel and B tile spanning all kc steps.
+            unreachable!("panel and B tile cover the depth block")
+        };
+        for (row, &a) in acc.iter_mut().zip(av) {
+            for (cv, &bv) in row.iter_mut().zip(b_row) {
+                *cv = a.mul_add(bv, *cv);
+            }
         }
     }
-    let rem = a.len() / LANES * LANES;
-    for (l, (&av, &bv)) in a[rem..].iter().zip(&b[rem..]).enumerate() {
-        acc[l] = av.mul_add(bv, acc[l]);
+    for (r, row) in acc.iter().enumerate() {
+        out[r * ldc..][..NR].copy_from_slice(row);
     }
-    acc.iter().sum()
+}
+
+/// `J` dot products of `a` against the rows of `b`, each with `LANES`
+/// independent partial sums (broken FMA latency chain, clean packed
+/// codegen): lane `l` sums the depth indices `p ≡ l (mod LANES)` in
+/// ascending order, and the lanes then fold in order, so each result
+/// depends only on its two operands. Computing several columns per pass
+/// lets one load of `a` feed `J` chains.
+#[inline(always)]
+fn dot_lanes<const J: usize>(a: &[f32], b: [&[f32]; J]) -> [f32; J] {
+    let mut acc = [[0.0f32; LANES]; J];
+    let (a_chunks, a_rem) = a.as_chunks::<LANES>();
+    let b_chunks = b.map(|row| &row.as_chunks::<LANES>().0[..a_chunks.len()]);
+    for (p, av) in a_chunks.iter().enumerate() {
+        for (lanes, bc) in acc.iter_mut().zip(&b_chunks) {
+            for ((s, &x), &y) in lanes.iter_mut().zip(av).zip(&bc[p]) {
+                *s = x.mul_add(y, *s);
+            }
+        }
+    }
+    let rem = a_chunks.len() * LANES;
+    for (lanes, row) in acc.iter_mut().zip(b) {
+        for ((s, &x), &y) in lanes.iter_mut().zip(a_rem).zip(&row[rem..]) {
+            *s = x.mul_add(y, *s);
+        }
+    }
+    acc.map(|lanes| lanes.iter().sum())
 }
 
 /// Packs the `B`-stored-`[n×k]` tile depth `[pc, pc+kc)` × rows `[jc, jc+nc)`

@@ -91,13 +91,9 @@ pub fn im2col_into(
                 for oy in oy_lo..oy_hi {
                     let src0 = (oy * s + kh - p) * w + ox_lo * s + kw - p;
                     let dst0 = row + oy * ow + ox_lo;
-                    if s == 1 {
-                        cols[dst0..dst0 + n].copy_from_slice(&img[src0..src0 + n]);
-                    } else {
-                        let src = img[src0..].iter().step_by(s);
-                        for (d, &v) in cols[dst0..dst0 + n].iter_mut().zip(src) {
-                            *d = v;
-                        }
+                    let src = &img[src0..src0 + (n - 1) * s + 1];
+                    for (i, d) in cols[dst0..dst0 + n].iter_mut().enumerate() {
+                        *d = src[s * i];
                     }
                 }
             }
@@ -158,15 +154,9 @@ pub fn col2im_into(
                 for oy in oy_lo..oy_hi {
                     let dst0 = (oy * s + kh - p) * w + ox_lo * s + kw - p;
                     let src0 = row + oy * ow + ox_lo;
-                    let src = &cols[src0..src0 + n];
-                    if s == 1 {
-                        for (d, &v) in dst[dst0..dst0 + n].iter_mut().zip(src) {
-                            *d += v;
-                        }
-                    } else {
-                        for (d, &v) in dst[dst0..].iter_mut().step_by(s).zip(src) {
-                            *d += v;
-                        }
+                    let out = &mut dst[dst0..dst0 + (n - 1) * s + 1];
+                    for (i, &v) in cols[src0..src0 + n].iter().enumerate() {
+                        out[s * i] += v;
                     }
                 }
             }

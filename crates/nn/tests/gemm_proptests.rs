@@ -1,5 +1,7 @@
 //! Property-based tests pinning the blocked/parallel GEMM and the
-//! GEMM-lowered convolutions to straightforward scalar references.
+//! GEMM-lowered convolutions to straightforward scalar references: within
+//! a tolerance against the plain triple loop, and bit for bit against the
+//! per-element chains `gemm`'s module docs promise.
 
 use ganopc_nn::layers::{Conv2d, ConvTranspose2d, Layer};
 use ganopc_nn::{gemm, Tensor};
@@ -79,6 +81,157 @@ proptest! {
         c.fill(f32::NAN);
         gemm::matmul_nt_into(&mut c, &a, &bt, m, k, n);
         assert_close(&c, &expect, "matmul_nt_into");
+    }
+}
+
+/// The tiled path's documented chain: one `mul_add` chain per element,
+/// `k` ascending from +0.0. `a_at(i, p)` and `b_at(p, j)` read the logical
+/// operands whatever their storage.
+fn chain_reference(
+    a_at: impl Fn(usize, usize) -> f32,
+    b_at: impl Fn(usize, usize) -> f32,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc = a_at(i, p).mul_add(b_at(p, j), acc);
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// The dot path's documented chains: lane `l` sums the depth indices
+/// `p ≡ l (mod LANES)` with `mul_add` in ascending order from +0.0, then
+/// the lanes fold in lane order from −0.0.
+fn lanes_reference(a: &[f32], bt: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut lanes = [0.0f32; gemm::LANES];
+            for p in 0..k {
+                let l = p % gemm::LANES;
+                lanes[l] = a[i * k + p].mul_add(bt[j * k + p], lanes[l]);
+            }
+            let mut sum = -0.0f32;
+            for lane in lanes {
+                sum += lane;
+            }
+            c[i * n + j] = sum;
+        }
+    }
+    c
+}
+
+fn assert_bits(actual: &[f32], expected: &[f32], what: &str) {
+    assert_eq!(actual.len(), expected.len(), "{what}: length");
+    for (idx, (&x, &y)) in actual.iter().zip(expected).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}[{idx}]: {x} vs {y}");
+    }
+}
+
+/// Dimension values: three draws in five are small sizes, the rest sit on
+/// or next to one of the block edges in `edges`.
+fn straddling(edges: &'static [usize]) -> impl Strategy<Value = usize> {
+    (0usize..5, 0..edges.len(), 0usize..3, 1usize..20).prop_map(move |(kind, e, off, small)| {
+        if kind < 3 {
+            small
+        } else {
+            edges[e] - 1 + off
+        }
+    })
+}
+
+/// Products of at most this many multiply-adds (keeps debug runs short
+/// while still clearing the parallel-split threshold).
+const MAX_MULADDS: usize = 1 << 21;
+
+/// Checks all three layouts of one `m×k×n` product against the documented
+/// chains, serially and through the 4-way crew.
+fn check_chains(m: usize, k: usize, n: usize, seed: u64) {
+    let a = fill(m * k, seed);
+    let b = fill(k * n, seed ^ 0xabcd);
+    let mut at = vec![0.0f32; k * m];
+    for i in 0..m {
+        for p in 0..k {
+            at[p * m + i] = a[i * k + p];
+        }
+    }
+    let mut bt = vec![0.0f32; n * k];
+    for p in 0..k {
+        for j in 0..n {
+            bt[j * k + p] = b[p * n + j];
+        }
+    }
+    let tiled = chain_reference(|i, p| a[i * k + p], |p, j| b[p * n + j], m, k, n);
+    let nt_expect = if m < gemm::NT_PACK_MIN_ROWS && k <= gemm::NT_DOT_MAX_DEPTH {
+        lanes_reference(&a, &bt, m, k, n)
+    } else {
+        tiled.clone()
+    };
+    for threads in [1, 4] {
+        ganopc_nn::pool::set_max_threads(Some(threads));
+        let mut c = vec![f32::NAN; m * n];
+        gemm::matmul_into(&mut c, &a, &b, m, k, n);
+        assert_bits(&c, &tiled, &format!("NN {m}x{k}x{n} at {threads} threads"));
+        c.fill(f32::NAN);
+        gemm::matmul_tn_into(&mut c, &at, &b, m, k, n);
+        assert_bits(&c, &tiled, &format!("TN {m}x{k}x{n} at {threads} threads"));
+        c.fill(f32::NAN);
+        gemm::matmul_nt_into(&mut c, &a, &bt, m, k, n);
+        assert_bits(&c, &nt_expect, &format!("NT {m}x{k}x{n} at {threads} threads"));
+    }
+    ganopc_nn::pool::set_max_threads(None);
+}
+
+/// The block edges one at a time, and the parallel splits: every shape
+/// here clears the parallel threshold except the first two, `m ≥ n` takes
+/// the row split and `m < n` the column split.
+#[test]
+fn gemm_chains_are_bit_exact_on_block_edges() {
+    for (seed, &(m, k, n)) in [
+        (5, 17, 3),
+        (13, 9, 31),
+        (49, 2049, 17),
+        (47, 2049, 9),
+        (47, 2048, 9),
+        (48, 257, 47),
+        (9, 257, 513),
+        (48, 129, 513),
+        (7, 255, 1025),
+    ]
+    .iter()
+    .enumerate()
+    {
+        check_chains(m, k, n, seed as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every layout reproduces its documented per-element chain bit for bit,
+    /// serially and through the 4-way crew, across shapes that straddle MR,
+    /// NR, KC, NC and both `A·Bᵀ` dot-path thresholds.
+    #[test]
+    fn gemm_chains_are_bit_exact(
+        m in straddling(&[gemm::MR, gemm::NR, gemm::NT_PACK_MIN_ROWS]),
+        k in straddling(&[gemm::LANES, gemm::KC, gemm::NT_DOT_MAX_DEPTH]),
+        n in straddling(&[gemm::NR, gemm::NC]),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Shrink the largest dimension until the product fits the budget.
+        let (mut m, mut k, mut n) = (m, k, n);
+        while m * k * n > MAX_MULADDS {
+            if k >= m.max(n) { k /= 2 } else if n >= m { n /= 2 } else { m /= 2 }
+        }
+        check_chains(m, k, n, seed);
     }
 }
 

@@ -25,6 +25,9 @@ GANOPC_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -q --release -p ganopc-fft (bit-identity tests on the vectorized release build)"
 cargo test -q --release -p ganopc-fft
 
+echo "==> cargo test -q --release -p ganopc-nn (bit-exact GEMM chain and BatchNorm tests on the vectorized release build)"
+cargo test -q --release -p ganopc-nn
+
 echo "==> cargo test -q --release -p ganopc-litho (spatial oracle, arena and thread-identity tests on the release build)"
 cargo test -q --release -p ganopc-litho
 
