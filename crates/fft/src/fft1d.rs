@@ -34,9 +34,11 @@ use crate::{Complex, Direction, FftError};
 #[derive(Debug, Clone)]
 pub struct Fft1d {
     len: usize,
-    /// Swap program realizing the mixed-radix digit-reversal permutation;
-    /// executing `data.swap(i, j)` over the list applies the permutation in
-    /// place with no scratch storage.
+    /// The mixed-radix digit-reversal permutation: the butterflies read
+    /// input element `order[i]` at position `i`.
+    order: Vec<u32>,
+    /// Swap program realizing `order` in place; executing
+    /// `data.swap(i, j)` over the list permutes with no scratch storage.
     swaps: Vec<(u32, u32)>,
     /// Whether a twiddle-free radix-2 stage over adjacent pairs runs first
     /// (`log2(len)` odd).
@@ -107,7 +109,8 @@ impl Fft1d {
         }
         let log2_len = len.trailing_zeros();
         let radix2_first = log2_len % 2 == 1;
-        let swaps = swap_program(&digit_reversal(len));
+        let order = digit_reversal(len);
+        let swaps = swap_program(&order);
         // Radix-4 twiddles: quarter-span m starts at 1 (even log2) or 2 (odd
         // log2, after the radix-2 stage) and quadruples per stage.
         let mut fwd = Vec::new();
@@ -123,7 +126,7 @@ impl Fft1d {
             m *= 4;
         }
         let inv = fwd.iter().map(|w| w.conj()).collect();
-        Ok(Fft1d { len, swaps, radix2_first, fwd, inv })
+        Ok(Fft1d { len, order, swaps, radix2_first, fwd, inv })
     }
 
     /// Length the plan was created for.
@@ -179,18 +182,51 @@ impl Fft1d {
         Ok(())
     }
 
+    /// The digit-reversal order the butterflies read their input in: after
+    /// [`Fft1d::permute_lanes`], row `i` holds input row `order()[i]`. A
+    /// caller that copies rows into the planes anyway can place them in this
+    /// order and skip the swap program.
+    #[inline]
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Applies the digit-reversal swap program to whole rows of split
+    /// real/imaginary planes: afterwards row `i` holds what row `order()[i]`
+    /// held. Lanes `lanes..stride` are never touched.
+    // lint: hot-path
+    pub(crate) fn permute_lanes(
+        &self,
+        re: &mut [f32],
+        im: &mut [f32],
+        stride: usize,
+        lanes: usize,
+    ) {
+        for &(i, j) in &self.swaps {
+            let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
+            for plane in [&mut *re, &mut *im] {
+                let (head, tail) = plane.split_at_mut(hi * stride);
+                head[lo * stride..][..lanes].swap_with_slice(&mut tail[..lanes]);
+            }
+        }
+    }
+
     /// Transforms `lanes` independent sequences at once, held in split
-    /// real/imaginary planes: element `r` of lane `l` is
-    /// `(re[r * stride + l], im[r * stride + l])`. Both planes hold
-    /// `len × stride` floats; lanes `lanes..stride` are never touched.
+    /// real/imaginary planes whose rows are already in digit-reversed order
+    /// (see [`Fft1d::order`] and [`Fft1d::permute_lanes`]): element `r` of
+    /// lane `l` is `(re[i * stride + l], im[i * stride + l])` where
+    /// `order()[i] == r`. Both planes hold `len × stride` floats; lanes
+    /// `lanes..stride` are never touched. The output is in natural order.
     ///
     /// Each lane goes through exactly the floating-point operations, in the
     /// same order, that [`Fft1d::transform`] applies to it alone, so the
-    /// results are bit-identical to transforming extracted lanes. The swap
-    /// program moves whole rows of both planes, and every butterfly's inner
-    /// loop runs across the contiguous lanes of its four rows, so it
-    /// vectorizes over the planes with no transpose or scratch storage.
-    /// [`crate::RealFft2d`] runs both of its passes through it.
+    /// results are bit-identical to transforming extracted lanes. Every
+    /// butterfly's inner loop runs across the contiguous lanes of its four
+    /// rows, so it vectorizes over the planes with no transpose or scratch
+    /// storage. From length 4 up, the inverse's `1/len` multiplies the last
+    /// radix-4 stage's outputs as they are stored, the same product a
+    /// separate pass would form; at length 2 it is a pass after the radix-2
+    /// stage. [`crate::RealFft2d`] runs both of its passes through it.
     // lint: hot-path
     pub(crate) fn transform_lanes(
         &self,
@@ -209,13 +245,6 @@ impl Fft1d {
         if n <= 1 || lanes == 0 {
             return;
         }
-        for &(i, j) in &self.swaps {
-            let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
-            for plane in [&mut *re, &mut *im] {
-                let (head, tail) = plane.split_at_mut(hi * stride);
-                head[lo * stride..][..lanes].swap_with_slice(&mut tail[..lanes]);
-            }
-        }
         if self.radix2_first {
             for plane in [&mut *re, &mut *im] {
                 for pair in plane.chunks_exact_mut(2 * stride) {
@@ -231,8 +260,8 @@ impl Fft1d {
         let m0 = if self.radix2_first { 2 } else { 1 };
         match dir {
             Direction::Forward => self.radix4_stages_lanes::<false>(re, im, stride, lanes, m0),
-            Direction::Inverse => {
-                self.radix4_stages_lanes::<true>(re, im, stride, lanes, m0);
+            Direction::Inverse if 4 * m0 > n => {
+                // Length 2: the radix-2 stage above was the last one.
                 let scale = 1.0 / n as f32;
                 for plane in [re, im] {
                     for row in plane.chunks_exact_mut(stride) {
@@ -242,6 +271,7 @@ impl Fft1d {
                     }
                 }
             }
+            Direction::Inverse => self.radix4_stages_lanes::<true>(re, im, stride, lanes, m0),
         }
     }
 
@@ -273,7 +303,7 @@ impl Fft1d {
     /// [`Fft1d::radix4_stages`] over split planes of `stride`-float rows:
     /// quarter `q` of a group is `m` whole rows, and the butterfly with
     /// twiddle triple `t` runs across the lanes of row `t` of the four
-    /// quarters.
+    /// quarters. The inverse's last stage also applies the `1/len` scale.
     // lint: hot-path
     fn radix4_stages_lanes<const INV: bool>(
         &self,
@@ -287,36 +317,59 @@ impl Fft1d {
         let n = self.len;
         let mut base = 0usize;
         while 4 * m <= n {
-            let span = 4 * m;
             let stage_tw = &table[base..base + 3 * m];
-            let groups = re.chunks_exact_mut(span * stride).zip(im.chunks_exact_mut(span * stride));
-            for (gre, gim) in groups {
-                let [r0, r1, r2, r3] = quarters(gre, m * stride);
-                let [i0, i1, i2, i3] = quarters(gim, m * stride);
-                for (t, w) in stage_tw.chunks_exact(3).enumerate() {
-                    let w = [w[0], w[1], w[2]];
-                    let (a, b) = (t * stride, t * stride + lanes);
-                    let (r0, r1, r2, r3) =
-                        (&mut r0[a..b], &mut r1[a..b], &mut r2[a..b], &mut r3[a..b]);
-                    let (i0, i1, i2, i3) =
-                        (&mut i0[a..b], &mut i1[a..b], &mut i2[a..b], &mut i3[a..b]);
-                    for l in 0..lanes {
-                        let x = [
-                            Complex::new(r0[l], i0[l]),
-                            Complex::new(r1[l], i1[l]),
-                            Complex::new(r2[l], i2[l]),
-                            Complex::new(r3[l], i3[l]),
-                        ];
-                        let [y0, y1, y2, y3] = butterfly4::<INV>(x, w);
-                        (r0[l], i0[l]) = (y0.re, y0.im);
-                        (r1[l], i1[l]) = (y1.re, y1.im);
-                        (r2[l], i2[l]) = (y2.re, y2.im);
-                        (r3[l], i3[l]) = (y3.re, y3.im);
-                    }
-                }
+            if INV && 16 * m > n {
+                let scale = 1.0 / n as f32;
+                radix4_stage_lanes::<INV, true>(re, im, stride, lanes, m, stage_tw, scale);
+            } else {
+                radix4_stage_lanes::<INV, false>(re, im, stride, lanes, m, stage_tw, 1.0);
             }
             base += 3 * m;
-            m = span;
+            m *= 4;
+        }
+    }
+}
+
+/// One radix-4 stage of quarter-span `m` over split planes. `SCALED`
+/// multiplies every butterfly output by `scale` before it is stored.
+// lint: hot-path
+#[inline(always)]
+fn radix4_stage_lanes<const INV: bool, const SCALED: bool>(
+    re: &mut [f32],
+    im: &mut [f32],
+    stride: usize,
+    lanes: usize,
+    m: usize,
+    stage_tw: &[Complex],
+    scale: f32,
+) {
+    let span = 4 * m;
+    let groups = re.chunks_exact_mut(span * stride).zip(im.chunks_exact_mut(span * stride));
+    for (gre, gim) in groups {
+        let [r0, r1, r2, r3] = quarters(gre, m * stride);
+        let [i0, i1, i2, i3] = quarters(gim, m * stride);
+        for (t, w) in stage_tw.chunks_exact(3).enumerate() {
+            let w = [w[0], w[1], w[2]];
+            let (a, b) = (t * stride, t * stride + lanes);
+            let (r0, r1, r2, r3) = (&mut r0[a..b], &mut r1[a..b], &mut r2[a..b], &mut r3[a..b]);
+            let (i0, i1, i2, i3) = (&mut i0[a..b], &mut i1[a..b], &mut i2[a..b], &mut i3[a..b]);
+            for l in 0..lanes {
+                let x = [
+                    Complex::new(r0[l], i0[l]),
+                    Complex::new(r1[l], i1[l]),
+                    Complex::new(r2[l], i2[l]),
+                    Complex::new(r3[l], i3[l]),
+                ];
+                let mut y = butterfly4::<INV>(x, w);
+                if SCALED {
+                    y = y.map(|c| c.scale(scale));
+                }
+                let [y0, y1, y2, y3] = y;
+                (r0[l], i0[l]) = (y0.re, y0.im);
+                (r1[l], i1[l]) = (y1.re, y1.im);
+                (r2[l], i2[l]) = (y2.re, y2.im);
+                (r3[l], i3[l]) = (y3.re, y3.im);
+            }
         }
     }
 }
@@ -444,6 +497,11 @@ mod tests {
         }
     }
 
+    /// Both entries of the batched lane transform against one
+    /// [`Fft1d::transform`] per lane, bit for bit: natural rows through the
+    /// swap program, and rows copied in [`Fft1d::order`] with no swaps. The
+    /// inverse's `1/len` is fused into its last stage, so the inverse cases
+    /// check that too. Lanes past `lanes` must come out untouched.
     #[test]
     fn transform_lanes_is_bit_identical_to_per_lane_transforms() {
         for log in 0..=10 {
@@ -455,23 +513,38 @@ mod tests {
                 let block: Vec<Complex> = (0..n * stride)
                     .map(|i| Complex::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos() - 0.5))
                     .collect();
+                let (block_re, block_im): (Vec<f32>, Vec<f32>) =
+                    block.iter().map(|c| (c.re, c.im)).unzip();
                 for dir in [Direction::Forward, Direction::Inverse] {
-                    let mut re: Vec<f32> = block.iter().map(|c| c.re).collect();
-                    let mut im: Vec<f32> = block.iter().map(|c| c.im).collect();
+                    let (mut re, mut im) = (block_re.clone(), block_im.clone());
+                    plan.permute_lanes(&mut re, &mut im, stride, lanes);
                     plan.transform_lanes(&mut re, &mut im, stride, lanes, dir);
+                    let swapped = (re, im);
+
+                    let (mut re, mut im) = (block_re.clone(), block_im.clone());
+                    for (i, &r) in plan.order().iter().enumerate() {
+                        let (dst, src) = (i * stride, r as usize * stride);
+                        re[dst..][..lanes].copy_from_slice(&block_re[src..][..lanes]);
+                        im[dst..][..lanes].copy_from_slice(&block_im[src..][..lanes]);
+                    }
+                    plan.transform_lanes(&mut re, &mut im, stride, lanes, dir);
+                    let copied = (re, im);
+
                     for l in 0..stride {
                         let mut lane: Vec<Complex> =
                             (0..n).map(|r| block[r * stride + l]).collect();
                         if l < lanes {
                             plan.transform(&mut lane, dir).unwrap();
                         }
-                        for (r, want) in lane.iter().enumerate() {
-                            let got = (re[r * stride + l], im[r * stride + l]);
-                            assert_eq!(
-                                (got.0.to_bits(), got.1.to_bits()),
-                                (want.re.to_bits(), want.im.to_bits()),
-                                "n={n} lanes={lanes} stride={stride} {dir:?} at ({r},{l})"
-                            );
+                        for (entry, (re, im)) in [("swapped", &swapped), ("copied", &copied)] {
+                            for (r, want) in lane.iter().enumerate() {
+                                let got = (re[r * stride + l], im[r * stride + l]);
+                                assert_eq!(
+                                    (got.0.to_bits(), got.1.to_bits()),
+                                    (want.re.to_bits(), want.im.to_bits()),
+                                    "{entry} n={n} lanes={lanes} stride={stride} {dir:?} at ({r},{l})"
+                                );
+                            }
                         }
                     }
                 }

@@ -11,25 +11,29 @@
 //!   usual arithmetic;
 //! * [`Fft1d`] — a planned, iterative mixed radix-4/radix-2 Cooley–Tukey
 //!   transform for power-of-two lengths, with direction-specific twiddle
-//!   tables and a precomputed digit-reversal swap program;
+//!   tables and a precomputed digit-reversal order and swap program;
 //! * [`RealFft2d`] — the real-input 2-D transform over the packed Hermitian
 //!   `h × (w/2+1)` half-spectrum, built on [`Fft1d`]: all row transforms run
 //!   as one batch, then all stored columns as another, each vectorized across
-//!   the lanes of split real/imaginary planes in per-thread working storage;
-//!   it carries the whole litho hot path;
-//! * [`Arena`] — a shared freelist of frame-sized scratch buffers so
-//!   steady-state convolutions allocate nothing;
-//! * [`spectrum`] helpers — half-spectrum products and the kernel spectra
+//!   the lanes of split real/imaginary planes in per-thread working storage.
+//!   Its pixel domain is a *tile* whose lanes are the image rows, its
+//!   spectral domain split re/im planes, and [`RealFft2d::forward_with`] /
+//!   [`RealFft2d::inverse_with`] let a caller fold its own work into the
+//!   moves that enter and leave them ([`TileEntry`], [`TileExit`]); it
+//!   carries the whole litho hot path;
+//! * [`spectrum`] helpers — half-spectrum products, over [`Complex`] bins
+//!   and over split-plane rows, and the kernel spectra
 //!   ([`spectrum::KernelSpectrum`]) the convolution pipelines upstream run.
 //!
 //! # Example
 //!
 //! A cyclic convolution with a centered kernel, the sequence the litho
-//! model runs per SOCS kernel: forward transform, spectral product,
-//! inverse transform.
+//! model runs per SOCS kernel: a forward transform into split planes, then
+//! an inverse transform whose entry forms the spectral product row by row
+//! and whose exit unpacks the image.
 //!
 //! ```
-//! use ganopc_fft::spectrum::{mul_into, KernelSpectrum};
+//! use ganopc_fft::spectrum::{mul_split, KernelSpectrum};
 //! use ganopc_fft::{Complex, RealFft2d};
 //!
 //! # fn main() -> Result<(), ganopc_fft::FftError> {
@@ -37,15 +41,30 @@
 //! let mut taps = vec![Complex::ZERO; 9];
 //! taps[4] = Complex::from_real(2.0); // center tap of a 3×3 kernel
 //! let kernel = KernelSpectrum::new(&taps, 3, 8, 8)?;
+//! let (k_re, k_im) = kernel.re_spectrum().unwrap();
 //!
 //! let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).sin()).collect();
-//! let mut spectrum = vec![Complex::ZERO; plan.spectrum_len()];
-//! let mut scratch = Vec::new();
-//! plan.forward(&field, &mut spectrum, &mut scratch)?;
-//! let mut product = vec![Complex::ZERO; plan.spectrum_len()];
-//! mul_into(&mut product, &spectrum, kernel.re_spectrum().unwrap());
+//! let (mut m_re, mut m_im) = (vec![0.0; plan.spectrum_len()], vec![0.0; plan.spectrum_len()]);
+//! plan.forward_with(
+//!     |tile| tile.pack(&field),
+//!     |re, im| {
+//!         m_re.copy_from_slice(re);
+//!         m_im.copy_from_slice(im);
+//!     },
+//! );
+//! // Spectrum row `ky` of a split plane.
+//! let hw = plan.half_width();
+//! fn row_of(plane: &[f32], ky: usize, hw: usize) -> &[f32] {
+//!     &plane[ky * hw..][..hw]
+//! }
 //! let mut out = vec![0.0f32; 64];
-//! plan.inverse(&mut product, &mut out, &mut scratch)?;
+//! plan.inverse_with(
+//!     |ky, re, im| {
+//!         let mask = (row_of(&m_re, ky, hw), row_of(&m_im, ky, hw));
+//!         mul_split((re, im), mask, (row_of(k_re, ky, hw), row_of(k_im, ky, hw)));
+//!     },
+//!     |tile| tile.unpack(&mut out),
+//! );
 //! // A scaled center tap scales the field.
 //! assert!(out.iter().zip(&field).all(|(o, f)| (o - 2.0 * f).abs() < 1e-4));
 //! # Ok(())
@@ -56,16 +75,14 @@
 //! reproduction (training clips, benchmark clips, kernel supports) is chosen
 //! as a power of two, matching the 2048×2048 ICCAD-2013 frames.
 
-mod arena;
 mod complex;
 mod fft1d;
 mod rfft;
 pub mod spectrum;
 
-pub use arena::Arena;
 pub use complex::Complex;
 pub use fft1d::Fft1d;
-pub use rfft::RealFft2d;
+pub use rfft::{RealFft2d, TileEntry, TileExit};
 
 use std::error::Error;
 use std::fmt;

@@ -9,22 +9,34 @@
 //! every lithography convolution: mask spectra, SOCS kernel spectra and the
 //! Eq. (14) gradient all live in packed half-spectrum form.
 //!
-//! Layout: row-major `h` rows of `w/2 + 1` entries; `out[ky * (w/2+1) + kx]`
-//! holds `X[ky, kx]` for `kx = 0 ..= w/2`. The two boundary columns `kx = 0`
-//! and `kx = w/2` (DC and Nyquist) are self-conjugate along `ky`:
-//! `X[ky, b] = conj(X[(h-ky)%h, b])`.
-//!
 //! Both passes run as batches over split real/imaginary `f32` planes, so
-//! every butterfly vectorizes across lanes. The forward transform packs the
-//! image into a *tile* whose lanes are the image rows, runs all `h` row FFTs
-//! as one batch, untangles across lanes, transposes into *column planes*
-//! whose lanes are the `w/2 + 1` stored columns, runs the column pass as one
-//! batch and interleaves into the output; the inverse runs the same steps
-//! backwards. Each element goes through the same floating-point operations,
-//! in the same order, as transforming one row and one column at a time. The
-//! planes live in per-thread storage grown to the largest plan the thread
-//! has run, so a transform allocates nothing once its thread has run one at
-//! least this large.
+//! every butterfly vectorizes across lanes, and each pass works in its own
+//! layout:
+//!
+//! * **Tile layout** (pixel domain, the row pass): sample pair `j` of image
+//!   row `y` sits at lane `y` of tile row `j`; the real plane holds the even
+//!   samples `(y, 2j)` and the imaginary plane the odd ones `(y, 2j + 1)`.
+//!   A frame stored in tile layout is `h·w` floats: the real plane's `w/2`
+//!   rows of `h` lanes, then the imaginary plane's.
+//! * **Split planes** (spectral domain, the column pass): bin `(ky, kx)` at
+//!   `ky * (w/2+1) + kx` of a real-part plane and an imaginary-part plane.
+//!
+//! The forward transform fills the tile, runs all `h` row FFTs as one batch,
+//! untangles across lanes, transposes into the column planes, runs the
+//! column pass as one batch and hands the planes to its exit; the inverse
+//! runs the same steps backwards. [`RealFft2d::forward_with`] and
+//! [`RealFft2d::inverse_with`] are these bodies, with the entry and exit
+//! moves left to the caller. [`RealFft2d::forward`] enters by packing an
+//! image and exits by interleaving into [`Complex`] bins;
+//! [`RealFft2d::inverse`] enters by splitting bins and exits by unpacking
+//! into an image. Every entry writes whole rows, so each places its rows in
+//! the digit-reversed order the following pass reads and that pass runs no
+//! swap program; the inverse's `1/n` factors ride on each pass's last
+//! butterfly stage. Each element goes through the same floating-point
+//! operations, in the same order, as transforming one row and one column at
+//! a time. The planes live in per-thread storage grown to the largest plan
+//! the thread has run, so a transform allocates nothing once its thread has
+//! run one at least this large.
 
 use crate::{Complex, Direction, Fft1d, FftError};
 use std::cell::RefCell;
@@ -107,13 +119,14 @@ impl RealFft2d {
         self.half_width
     }
 
-    /// Real-domain buffer length `height * width`.
+    /// Real-domain buffer length `height * width`, in image or tile layout.
     #[inline]
     pub fn real_len(&self) -> usize {
         self.height * self.width
     }
 
-    /// Packed half-spectrum buffer length `height * (width/2 + 1)`.
+    /// Packed half-spectrum buffer length `height * (width/2 + 1)`: the
+    /// [`Complex`] bins, or the floats of one split plane.
     #[inline]
     pub fn spectrum_len(&self) -> usize {
         self.height * self.half_width
@@ -132,10 +145,10 @@ impl RealFft2d {
     /// Forward transform: real `height × width` image → packed half-spectrum
     /// (unnormalized, the [`Direction::Forward`] convention).
     ///
-    /// Works in this thread's split-plane working storage (see the module
-    /// docs), so it allocates nothing once its thread has run a transform
-    /// at least this large. `_scratch` is unused: it is never read or
-    /// grown, and stays only for source compatibility with existing callers.
+    /// [`RealFft2d::forward_with`] entered by [`TileEntry::pack`] and left by
+    /// interleaving the split planes into `out`. `_scratch` is unused: it is
+    /// never read or grown, and stays only for source compatibility with
+    /// existing callers.
     ///
     /// # Errors
     ///
@@ -148,43 +161,27 @@ impl RealFft2d {
         _scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(real.len(), out.len())?;
-        let (h, hw, m) = (self.height, self.half_width, self.width / 2);
-        let ld = h + TILE_PAD;
-        self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
-            // Row pass: pack two real samples per complex slot, transposed so
-            // image row y is tile lane y; run every half-length row FFT as one
-            // batch; untangle the m+1 stored bins across lanes.
-            pack_rows(real, self.width, tile_re, tile_im, ld);
-            self.row_plan.transform_lanes(
-                &mut tile_re[..m * ld],
-                &mut tile_im[..m * ld],
-                ld,
-                h,
-                Direction::Forward,
-            );
-            self.untangle_lanes(tile_re, tile_im, ld);
-
-            // Column pass: transpose so stored column kx is lane kx, then one
-            // batched full-height FFT over all w/2+1 lanes.
-            transpose(tile_re, ld, col_re, hw, hw, h);
-            transpose(tile_im, ld, col_im, hw, hw, h);
-            self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Forward);
-            for ((o, &re), &im) in out.iter_mut().zip(col_re.iter()).zip(col_im.iter()) {
-                *o = Complex::new(re, im);
-            }
-        });
+        self.forward_with(
+            |tile| tile.pack(real),
+            |re, im| {
+                for ((o, &re), &im) in out.iter_mut().zip(re).zip(im) {
+                    *o = Complex::new(re, im);
+                }
+            },
+        );
         Ok(())
     }
 
     /// Inverse transform: packed half-spectrum → real image, normalized by
     /// `1/(height·width)` so `inverse(forward(x)) == x` up to rounding.
     ///
-    /// The input is assumed Hermitian-consistent, i.e. in the range of
-    /// [`RealFft2d::forward`] — true for any product of half-spectra of real
-    /// fields, which is all the litho stack produces. `half` is only read;
-    /// it stays `&mut` for source compatibility. Allocates nothing once its
-    /// thread has run a transform at least this large, and `_scratch` is
-    /// unused, as in [`RealFft2d::forward`].
+    /// [`RealFft2d::inverse_with`] entered by splitting each row of `half`
+    /// and left by [`TileExit::unpack`]. The input is assumed
+    /// Hermitian-consistent, i.e. in the range of [`RealFft2d::forward`] —
+    /// true for any product of half-spectra of real fields, which is all the
+    /// litho stack produces. `half` is only read; it stays `&mut` for source
+    /// compatibility, and `_scratch` is unused, as in
+    /// [`RealFft2d::forward`].
     ///
     /// # Errors
     ///
@@ -197,35 +194,123 @@ impl RealFft2d {
         _scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(out.len(), half.len())?;
+        let hw = self.half_width;
+        self.inverse_with(
+            |ky, re, im| {
+                for ((re, im), z) in re.iter_mut().zip(im).zip(&half[ky * hw..][..hw]) {
+                    (*re, *im) = (z.re, z.im);
+                }
+            },
+            |tile| tile.unpack(out),
+        );
+        Ok(())
+    }
+
+    /// The forward transform with caller-supplied entry and exit moves.
+    ///
+    /// `entry` fills the tile (see the module docs) through [`TileEntry`];
+    /// `exit` then receives the spectrum as split planes, real parts then
+    /// imaginary parts, `height` rows of `width/2 + 1` bins each. Both run
+    /// on this thread's working planes, inside the transform, so neither may
+    /// start another [`RealFft2d`] transform.
+    // lint: hot-path
+    pub fn forward_with<R>(
+        &self,
+        entry: impl FnOnce(TileEntry<'_>),
+        exit: impl FnOnce(&[f32], &[f32]) -> R,
+    ) -> R {
         let (h, hw, m) = (self.height, self.half_width, self.width / 2);
         let ld = h + TILE_PAD;
         self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
-            // Column pass first (reverse of forward): split the planes, then
-            // one batched inverse FFT down every stored column, carrying the
-            // 1/h normalization.
-            for ((re, im), z) in col_re.iter_mut().zip(col_im.iter_mut()).zip(half.iter()) {
-                (*re, *im) = (z.re, z.im);
-            }
-            self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Inverse);
-
-            // Row pass: transpose so image row y is tile lane y, tangle the
-            // m+1 bins back into a half-length complex sequence across lanes,
-            // one batched inverse FFT (1/m), then unpack the interleaved real
-            // samples. The two 1/2 factors hidden in the tangle make 1/(h·m)
-            // the exact overall 1/(h·w) normalization.
-            transpose(col_re, hw, tile_re, ld, h, hw);
-            transpose(col_im, hw, tile_im, ld, h, hw);
-            self.tangle_lanes(tile_re, tile_im, ld);
+            // Row pass: the entry writes tile row `i` with sample pair
+            // `order[i]`, so every half-length row FFT runs as one batch with
+            // no swaps; then untangle the m+1 stored bins across lanes.
+            entry(TileEntry {
+                re: &mut tile_re[..m * ld],
+                im: &mut tile_im[..m * ld],
+                ld,
+                lanes: h,
+                order: self.row_plan.order(),
+            });
             self.row_plan.transform_lanes(
                 &mut tile_re[..m * ld],
                 &mut tile_im[..m * ld],
                 ld,
                 h,
-                Direction::Inverse,
+                Direction::Forward,
             );
-            unpack_rows(tile_re, tile_im, ld, out, self.width);
-        });
-        Ok(())
+            self.untangle_lanes(tile_re, tile_im, ld);
+
+            // Column pass: transpose so stored column kx is lane kx, then one
+            // batched full-height FFT over all w/2+1 lanes. A transpose that
+            // wrote rows in digit-reversed order measured slower than the
+            // plain one plus the swap program.
+            transpose(tile_re, ld, col_re, hw, hw, h);
+            transpose(tile_im, ld, col_im, hw, hw, h);
+            self.col_plan.permute_lanes(col_re, col_im, hw, hw);
+            self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Forward);
+            exit(col_re, col_im)
+        })
+    }
+
+    /// The inverse transform with caller-supplied entry and exit moves,
+    /// normalized by `1/(height·width)`.
+    ///
+    /// `entry(ky, re, im)` runs once per spectrum row `ky`, in an order of
+    /// the transform's choosing, and must write all `width/2 + 1` bins of
+    /// that row, real parts to `re` and imaginary parts to `im`. The
+    /// spectrum must be Hermitian-consistent (see [`RealFft2d::inverse`]).
+    /// `exit` then receives the real image in tile layout through
+    /// [`TileExit`]. Both run on this thread's working planes, inside the
+    /// transform, so neither may start another [`RealFft2d`] transform.
+    // lint: hot-path
+    pub fn inverse_with<R>(
+        &self,
+        mut entry: impl FnMut(usize, &mut [f32], &mut [f32]),
+        exit: impl FnOnce(TileExit<'_>) -> R,
+    ) -> R {
+        let (h, hw, m) = (self.height, self.half_width, self.width / 2);
+        let ld = h + TILE_PAD;
+        self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
+            // Column pass first (reverse of forward): the entry writes plane
+            // row `i` with spectrum row `order[i]`, so one batched inverse
+            // FFT runs down every stored column with no swaps, its last stage
+            // carrying the 1/h normalization.
+            let rows = col_re.chunks_exact_mut(hw).zip(col_im.chunks_exact_mut(hw));
+            for ((re, im), &ky) in rows.zip(self.col_plan.order()) {
+                entry(ky as usize, re, im);
+            }
+            self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Inverse);
+
+            // Row pass: transpose so image row y is tile lane y, tangle the
+            // m+1 bins back into a half-length complex sequence across lanes,
+            // then one batched inverse FFT (1/m) whose input the tangle left
+            // in natural order, so it keeps its swap program. The two 1/2
+            // factors hidden in the tangle make 1/(h·m) the exact overall
+            // 1/(h·w) normalization.
+            transpose(col_re, hw, tile_re, ld, h, hw);
+            transpose(col_im, hw, tile_im, ld, h, hw);
+            self.tangle_lanes(tile_re, tile_im, ld);
+            let (re, im) = (&mut tile_re[..m * ld], &mut tile_im[..m * ld]);
+            self.row_plan.permute_lanes(re, im, ld, h);
+            self.row_plan.transform_lanes(re, im, ld, h, Direction::Inverse);
+            exit(TileExit { re, im, ld, lanes: h })
+        })
+    }
+
+    /// Unpacks a frame stored in tile layout (see the module docs) into a
+    /// row-major real image: the move [`TileExit::unpack`] makes from the
+    /// transform's own tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both buffers hold [`RealFft2d::real_len`] floats.
+    // lint: hot-path
+    pub fn unpack(&self, tile: &[f32], image: &mut [f32]) {
+        assert_eq!(tile.len(), self.real_len(), "tile length mismatch");
+        assert_eq!(image.len(), self.real_len(), "image length mismatch");
+        let (re, im) = tile.split_at(tile.len() / 2);
+        unpack_rows(re, im, self.height, image, self.width);
     }
 
     /// Runs `f` on this thread's working planes, sized for this plan: the
@@ -415,19 +500,102 @@ fn tangle_middle(twc: Complex, re: &mut [f32], im: &mut [f32]) {
     }
 }
 
+/// The forward transform's entry: its tile, whose row `i` the row pass
+/// reads as sample pair `order[i]` (the pass's digit-reversed input order).
+/// Fill it with [`TileEntry::pack`] or [`TileEntry::fill`].
+#[derive(Debug)]
+pub struct TileEntry<'a> {
+    re: &'a mut [f32],
+    im: &'a mut [f32],
+    ld: usize,
+    lanes: usize,
+    order: &'a [u32],
+}
+
+impl TileEntry<'_> {
+    /// Packs a row-major real image of the plan's shape into the tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `image` holds [`RealFft2d::real_len`] floats.
+    // lint: hot-path
+    pub fn pack(self, image: &[f32]) {
+        let w = 2 * self.order.len();
+        assert_eq!(image.len(), self.lanes * w, "image length mismatch");
+        pack_rows(image, w, self.re, self.im, self.ld, self.order);
+    }
+
+    /// Calls `fill(j, re, im)` once per sample pair `j`, in the row pass's
+    /// order, with that pair's tile row: `fill` must write lane `y` of `re`
+    /// with sample `(y, 2j)` and of `im` with sample `(y, 2j + 1)`, for all
+    /// `height` lanes.
+    // lint: hot-path
+    pub fn fill(self, mut fill: impl FnMut(usize, &mut [f32], &mut [f32])) {
+        let (ld, lanes) = (self.ld, self.lanes);
+        let rows = self.re.chunks_exact_mut(ld).zip(self.im.chunks_exact_mut(ld));
+        for ((re, im), &j) in rows.zip(self.order) {
+            fill(j as usize, &mut re[..lanes], &mut im[..lanes]);
+        }
+    }
+}
+
+/// The inverse transform's exit: its tile, holding the real image in tile
+/// layout with rows in natural order.
+#[derive(Debug)]
+pub struct TileExit<'a> {
+    re: &'a [f32],
+    im: &'a [f32],
+    ld: usize,
+    lanes: usize,
+}
+
+impl TileExit<'_> {
+    /// Copies the image into `tile`, a frame in tile layout (see the module
+    /// docs): the litho model keeps its per-kernel fields this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tile` holds [`RealFft2d::real_len`] floats.
+    // lint: hot-path
+    pub fn copy_to(&self, tile: &mut [f32]) {
+        let (ld, lanes) = (self.ld, self.lanes);
+        assert_eq!(tile.len(), 2 * self.re.len() / ld * lanes, "tile length mismatch");
+        let (dst_re, dst_im) = tile.split_at_mut(tile.len() / 2);
+        for (src, dst) in [(self.re, dst_re), (self.im, dst_im)] {
+            for (s, d) in src.chunks_exact(ld).zip(dst.chunks_exact_mut(lanes)) {
+                d.copy_from_slice(&s[..lanes]);
+            }
+        }
+    }
+
+    /// Unpacks the image into a row-major real buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `image` holds [`RealFft2d::real_len`] floats.
+    // lint: hot-path
+    pub fn unpack(&self, image: &mut [f32]) {
+        let w = 2 * self.re.len() / self.ld;
+        assert_eq!(image.len(), self.lanes * w, "image length mismatch");
+        unpack_rows(self.re, self.im, self.ld, image, w);
+    }
+}
+
 /// Image rows the packing transposes move per block: the block's source
 /// rows stay in L1 while every tile row gets one contiguous run of lanes.
 const PACK_ROWS: usize = 16;
 
 /// Packs a real `h × w` image into split tile planes of row stride `ld`,
-/// transposed so image row `y` becomes lane `y`: sample pair `j` of row `y`
-/// lands at `(re, im)[j * ld + y]`.
+/// transposed so image row `y` becomes lane `y`, with tile row `i` holding
+/// sample pair `order[i]`: sample pair `order[i]` of row `y` lands at
+/// `(re, im)[i * ld + y]`.
 // lint: hot-path
-fn pack_rows(real: &[f32], w: usize, re: &mut [f32], im: &mut [f32], ld: usize) {
+fn pack_rows(real: &[f32], w: usize, re: &mut [f32], im: &mut [f32], ld: usize, order: &[u32]) {
     for (block, rows) in real.chunks(PACK_ROWS * w).enumerate() {
         let (y0, n) = (block * PACK_ROWS, rows.len() / w);
-        for j in 0..w / 2 {
-            let (re, im) = (&mut re[j * ld + y0..][..n], &mut im[j * ld + y0..][..n]);
+        for (i, &j) in order.iter().enumerate() {
+            let j = j as usize;
+            let (re, im) = (&mut re[i * ld + y0..][..n], &mut im[i * ld + y0..][..n]);
             for ((r, i), src) in re.iter_mut().zip(im.iter_mut()).zip(rows.chunks_exact(w)) {
                 (*r, *i) = (src[2 * j], src[2 * j + 1]);
             }
@@ -435,8 +603,8 @@ fn pack_rows(real: &[f32], w: usize, re: &mut [f32], im: &mut [f32], ld: usize) 
     }
 }
 
-/// Inverse of [`pack_rows`]: lane `y` of tile row `j` becomes sample pair
-/// `j` of image row `y`.
+/// Unpacks split tile planes of row stride `ld` with rows in natural order:
+/// lane `y` of tile row `j` becomes sample pair `j` of image row `y`.
 // lint: hot-path
 fn unpack_rows(re: &[f32], im: &[f32], ld: usize, real: &mut [f32], w: usize) {
     for (block, rows) in real.chunks_mut(PACK_ROWS * w).enumerate() {

@@ -7,11 +7,18 @@
 //! the ICCAD-2013 kit applies its kernels.
 //!
 //! Kernel spectra are stored in the packed `h × (w/2+1)` half-spectrum form
-//! of [`RealFft2d`]: a complex kernel `h = h_re + i·h_im` is split into its
-//! two real components, each with a Hermitian spectrum, so every convolution
-//! against a real mask runs entirely through the real-FFT engine. Components
-//! that vanish (at nominal focus most SOCS kernels are near-pure real or
-//! near-pure imaginary) are dropped, halving both storage and work.
+//! of [`RealFft2d`], as split real/imaginary planes: a complex kernel
+//! `h = h_re + i·h_im` is split into its two real components, each with a
+//! Hermitian spectrum, so every convolution against a real mask runs
+//! entirely through the real-FFT engine. Components that vanish (at nominal
+//! focus most SOCS kernels are near-pure real or near-pure imaginary) are
+//! dropped, halving both storage and work.
+//!
+//! The products come in two forms with the same per-bin arithmetic: over
+//! [`Complex`] bins (`mul_into`, `mul_conj_into`, `mul_conj_add_into`) and
+//! over one row of split planes (`mul_split`, `mul_conj_split`,
+//! `mul_conj_add_split`), the form the transforms' entry and exit moves
+//! use.
 
 use crate::{Complex, FftError, RealFft2d};
 
@@ -60,6 +67,68 @@ pub fn mul_conj_add_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
     }
 }
 
+/// Split planes, or one row of them: real parts, then imaginary parts.
+pub type Split<'a> = (&'a [f32], &'a [f32]);
+
+/// Mutable split planes, or one row of them.
+pub type SplitMut<'a> = (&'a mut [f32], &'a mut [f32]);
+
+/// [`mul_into`] over one row of split planes: `out = a ⊙ b`, bin by bin.
+///
+/// # Panics
+///
+/// Panics if an operand row is shorter than `out`.
+// lint: hot-path
+pub fn mul_split(out: SplitMut<'_>, a: Split<'_>, b: Split<'_>) {
+    let n = out.0.len();
+    let (or, oi) = (out.0, &mut out.1[..n]);
+    let (ar, ai, br, bi) = (&a.0[..n], &a.1[..n], &b.0[..n], &b.1[..n]);
+    let bins = or.iter_mut().zip(oi).zip(ar).zip(ai).zip(br).zip(bi);
+    for (((((or, oi), &ar), &ai), &br), &bi) in bins {
+        let z = Complex::new(ar, ai) * Complex::new(br, bi);
+        (*or, *oi) = (z.re, z.im);
+    }
+}
+
+/// [`mul_conj_into`] over one row of split planes, then a scale:
+/// `out = (a ⊙ conj(b)) · s`, bin by bin. `s = 1` keeps every product's
+/// bits, since multiplying by one is exact.
+///
+/// # Panics
+///
+/// Panics if an operand row is shorter than `out`.
+// lint: hot-path
+pub fn mul_conj_split(out: SplitMut<'_>, a: Split<'_>, b: Split<'_>, s: f32) {
+    let n = out.0.len();
+    let (or, oi) = (out.0, &mut out.1[..n]);
+    let (ar, ai, br, bi) = (&a.0[..n], &a.1[..n], &b.0[..n], &b.1[..n]);
+    let bins = or.iter_mut().zip(oi).zip(ar).zip(ai).zip(br).zip(bi);
+    for (((((or, oi), &ar), &ai), &br), &bi) in bins {
+        let z = (Complex::new(ar, ai) * Complex::new(br, bi).conj()).scale(s);
+        (*or, *oi) = (z.re, z.im);
+    }
+}
+
+/// [`mul_conj_add_into`] over one row of split planes, then a scale:
+/// `out = (out + a ⊙ conj(b)) · s`, bin by bin.
+///
+/// # Panics
+///
+/// Panics if an operand row is shorter than `out`.
+// lint: hot-path
+pub fn mul_conj_add_split(out: SplitMut<'_>, a: Split<'_>, b: Split<'_>, s: f32) {
+    let n = out.0.len();
+    let (or, oi) = (out.0, &mut out.1[..n]);
+    let (ar, ai, br, bi) = (&a.0[..n], &a.1[..n], &b.0[..n], &b.1[..n]);
+    let bins = or.iter_mut().zip(oi).zip(ar).zip(ai).zip(br).zip(bi);
+    for (((((or, oi), &ar), &ai), &br), &bi) in bins {
+        let z = Complex::new(*or, *oi)
+            .mul_add(Complex::new(ar, ai), Complex::new(br, bi).conj())
+            .scale(s);
+        (*or, *oi) = (z.re, z.im);
+    }
+}
+
 /// Embeds a small centered kernel into a `height × width` frame so that the
 /// kernel origin (its center tap) lands at index `(0, 0)` with cyclic
 /// wrap-around — the layout required for FFT convolution to act as a
@@ -104,15 +173,16 @@ const COMPONENT_DROP_RATIO: f32 = 1e-6;
 /// for repeated real-FFT convolutions against same-sized real fields.
 ///
 /// The kernel is split as `h = h_re + i·h_im`; each real component is stored
-/// as its packed Hermitian half-spectrum (`None` when the component
-/// vanishes). For a real mask `M`, the convolved field is
+/// as its packed Hermitian half-spectrum in split planes (`None` when the
+/// component vanishes). For a real mask `M`, the convolved field is
 /// `M ⊗ h = (M ⊗ h_re) + i·(M ⊗ h_im)`, two c2r inverse transforms — the
 /// same FLOP count as one full complex inverse but with half the spectral
 /// traffic, and half of everything when a component is absent.
 #[derive(Debug, Clone)]
 pub struct KernelSpectrum {
-    re: Option<Vec<Complex>>,
-    im: Option<Vec<Complex>>,
+    /// Each component's real plane followed by its imaginary plane.
+    re: Option<Vec<f32>>,
+    im: Option<Vec<f32>>,
 }
 
 impl KernelSpectrum {
@@ -138,32 +208,37 @@ impl KernelSpectrum {
         let frame = embed_centered_kernel(kernel, ksize, height, width);
         let peak = frame.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0f32, f32::max);
         let cutoff = peak * COMPONENT_DROP_RATIO;
-        let mut scratch = Vec::new();
-        let mut component =
-            |extract: fn(&Complex) -> f32| -> Result<Option<Vec<Complex>>, FftError> {
-                let field: Vec<f32> = frame.iter().map(extract).collect();
-                if field.iter().all(|v| v.abs() <= cutoff) {
-                    return Ok(None);
-                }
-                let mut half = vec![Complex::ZERO; plan.spectrum_len()];
-                plan.forward(&field, &mut half, &mut scratch)?;
-                Ok(Some(half))
-            };
-        let re = component(|c| c.re)?;
-        let im = component(|c| c.im)?;
-        Ok(KernelSpectrum { re, im })
+        let component = |extract: fn(&Complex) -> f32| -> Option<Vec<f32>> {
+            let field: Vec<f32> = frame.iter().map(extract).collect();
+            if field.iter().all(|v| v.abs() <= cutoff) {
+                return None;
+            }
+            let mut planes = vec![0.0f32; 2 * plan.spectrum_len()];
+            let (dst_re, dst_im) = planes.split_at_mut(plan.spectrum_len());
+            plan.forward_with(
+                |tile| tile.pack(&field),
+                |re, im| {
+                    dst_re.copy_from_slice(re);
+                    dst_im.copy_from_slice(im);
+                },
+            );
+            Some(planes)
+        };
+        Ok(KernelSpectrum { re: component(|c| c.re), im: component(|c| c.im) })
     }
 
-    /// Half-spectrum of the kernel's real component, if nonzero.
+    /// Split-plane half-spectrum `(real parts, imaginary parts)` of the
+    /// kernel's real component, if nonzero.
     #[inline]
-    pub fn re_spectrum(&self) -> Option<&[Complex]> {
-        self.re.as_deref()
+    pub fn re_spectrum(&self) -> Option<Split<'_>> {
+        self.re.as_deref().map(|p| p.split_at(p.len() / 2))
     }
 
-    /// Half-spectrum of the kernel's imaginary component, if nonzero.
+    /// Split-plane half-spectrum `(real parts, imaginary parts)` of the
+    /// kernel's imaginary component, if nonzero.
     #[inline]
-    pub fn im_spectrum(&self) -> Option<&[Complex]> {
-        self.im.as_deref()
+    pub fn im_spectrum(&self) -> Option<Split<'_>> {
+        self.im.as_deref().map(|p| p.split_at(p.len() / 2))
     }
 }
 
@@ -199,23 +274,41 @@ mod tests {
     }
 
     /// Filters a real field with one kernel component the way the litho
-    /// model does: forward transform, spectral product (`product` is
-    /// [`mul_into`] for convolution, [`mul_conj_into`] for correlation),
-    /// inverse transform.
+    /// model does: forward transform into split planes, then the inverse
+    /// entered by the spectral product (`product` is [`mul_split`] for
+    /// convolution, [`mul_conj_split`] at unit scale for correlation) and
+    /// left by unpacking.
     fn filter(
         plan: &RealFft2d,
         field: &[f32],
-        component: &[Complex],
-        product: fn(&mut [Complex], &[Complex], &[Complex]),
+        component: Split<'_>,
+        product: fn(SplitMut<'_>, Split<'_>, Split<'_>),
     ) -> Vec<f32> {
-        let mut scratch = Vec::new();
-        let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
-        plan.forward(field, &mut spec, &mut scratch).unwrap();
-        let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
-        product(&mut prod, &spec, component);
+        let n = plan.spectrum_len();
+        let (mut spec_re, mut spec_im) = (vec![0.0f32; n], vec![0.0f32; n]);
+        plan.forward_with(
+            |tile| tile.pack(field),
+            |re, im| {
+                spec_re.copy_from_slice(re);
+                spec_im.copy_from_slice(im);
+            },
+        );
+        let hw = plan.half_width();
+        fn row<'a>((re, im): Split<'a>, ky: usize, hw: usize) -> Split<'a> {
+            (&re[ky * hw..][..hw], &im[ky * hw..][..hw])
+        }
         let mut out = vec![0.0f32; plan.real_len()];
-        plan.inverse(&mut prod, &mut out, &mut scratch).unwrap();
+        plan.inverse_with(
+            |ky, re, im| {
+                product((re, im), row((&spec_re, &spec_im), ky, hw), row(component, ky, hw))
+            },
+            |tile| tile.unpack(&mut out),
+        );
         out
+    }
+
+    fn correlate(out: SplitMut<'_>, a: Split<'_>, b: Split<'_>) {
+        mul_conj_split(out, a, b, 1.0);
     }
 
     #[test]
@@ -230,7 +323,7 @@ mod tests {
         assert!(spec.im_spectrum().is_none(), "real kernel must drop its imaginary half");
         let plan = RealFft2d::new(h, w).unwrap();
         let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.2).sin()).collect();
-        let out = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_into);
+        let out = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_split);
         for (o, f) in out.iter().zip(&field) {
             assert!((o - f).abs() < 1e-4);
         }
@@ -246,8 +339,8 @@ mod tests {
         let field: Vec<f32> = (0..h * w).map(|i| ((i * 5 % 11) as f32) / 11.0).collect();
         let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
         let plan = RealFft2d::new(h, w).unwrap();
-        let re = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_into);
-        let im = filter(&plan, &field, spec.im_spectrum().unwrap(), mul_into);
+        let re = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_split);
+        let im = filter(&plan, &field, spec.im_spectrum().unwrap(), mul_split);
         let slow = naive_cyclic_convolve(&field, h, w, &kernel, ksize);
         for ((a_re, a_im), b) in re.iter().zip(&im).zip(&slow) {
             assert!((a_re - b.re).abs() < 1e-3, "{a_re}+{a_im}i vs {b}");
@@ -268,8 +361,8 @@ mod tests {
         field[3 * w + 3] = 1.0;
 
         let re = spec.re_spectrum().unwrap();
-        let conv = filter(&plan, &field, re, mul_into);
-        let corr = filter(&plan, &field, re, mul_conj_into);
+        let conv = filter(&plan, &field, re, mul_split);
+        let corr = filter(&plan, &field, re, correlate);
         // Convolution shifts the impulse by (-1,-1); correlation by (+1,+1).
         let peak_at = |v: &[f32]| {
             let (idx, _) =
@@ -307,5 +400,42 @@ mod tests {
         // The accumulating form adds the same product on top.
         mul_conj_add_into(&mut out, &a, &b);
         assert_eq!(out[0], Complex::new(4.0, -4.0));
+    }
+
+    /// The split-plane products keep the interleaved products' bits,
+    /// including the conjugated product's unit scale.
+    #[test]
+    fn split_products_match_interleaved_bits() {
+        let bins = |seed: f32| -> Vec<Complex> {
+            (0..37).map(|i| Complex::new((i as f32 * seed).sin(), (i as f32 * 0.7).cos())).collect()
+        };
+        let (a, b, acc) = (bins(0.31), bins(0.53), bins(0.97));
+        let split =
+            |v: &[Complex]| -> (Vec<f32>, Vec<f32>) { v.iter().map(|c| (c.re, c.im)).unzip() };
+        let bits = |v: &[Complex]| -> Vec<(u32, u32)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let split_bits = |(re, im): &(Vec<f32>, Vec<f32>)| -> Vec<(u32, u32)> {
+            re.iter().zip(im).map(|(r, i)| (r.to_bits(), i.to_bits())).collect()
+        };
+        let (sa, sb) = (split(&a), split(&b));
+        let (sa, sb) = ((&sa.0[..], &sa.1[..]), (&sb.0[..], &sb.1[..]));
+
+        let mut want = vec![Complex::ZERO; a.len()];
+        mul_into(&mut want, &a, &b);
+        let mut got = split(&acc);
+        mul_split((&mut got.0, &mut got.1), sa, sb);
+        assert_eq!(split_bits(&got), bits(&want));
+
+        mul_conj_into(&mut want, &a, &b);
+        mul_conj_split((&mut got.0, &mut got.1), sa, sb, 1.0);
+        assert_eq!(split_bits(&got), bits(&want));
+
+        let mut want = acc.clone();
+        mul_conj_add_into(&mut want, &a, &b);
+        let want: Vec<Complex> = want.iter().map(|c| c.scale(0.37)).collect();
+        let mut got = split(&acc);
+        mul_conj_add_split((&mut got.0, &mut got.1), sa, sb, 0.37);
+        assert_eq!(split_bits(&got), bits(&want));
     }
 }

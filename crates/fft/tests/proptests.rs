@@ -344,7 +344,9 @@ proptest! {
         let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
         plan.forward(&field, &mut spec, &mut scratch).unwrap();
         let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
-        spectrum::mul_into(&mut prod, &spec, ks.re_spectrum().unwrap());
+        let (kre, kim) = ks.re_spectrum().unwrap();
+        let kernel: Vec<Complex> = kre.iter().zip(kim).map(|(&re, &im)| Complex::new(re, im)).collect();
+        spectrum::mul_into(&mut prod, &spec, &kernel);
         let mut out = vec![0.0f32; 64];
         plan.inverse(&mut prod, &mut out, &mut scratch).unwrap();
         // Direct spatial check on a couple of positions.

@@ -137,9 +137,19 @@ impl OpcDataset {
     /// Panics on out-of-range indices or an empty index list.
     pub fn batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
         let (mut targets, mut masks) = (Tensor::zeros(&[1]), Tensor::zeros(&[1]));
-        self.stack_into(&self.targets, indices, &mut targets);
-        self.stack_into(&self.masks, indices, &mut masks);
+        self.batch_into(indices, &mut targets, &mut masks);
         (targets, masks)
+    }
+
+    /// [`OpcDataset::batch`] into caller-owned tensors, resized in place:
+    /// once they have their capacity, assembling a batch allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices or an empty index list.
+    pub(crate) fn batch_into(&self, indices: &[usize], targets: &mut Tensor, masks: &mut Tensor) {
+        self.stack_into(&self.targets, indices, targets);
+        self.stack_into(&self.masks, indices, masks);
     }
 
     /// Writes the targets of instances `indices` into `out`, resized in

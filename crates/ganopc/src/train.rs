@@ -189,6 +189,15 @@ impl TrainScratch {
     }
 }
 
+/// The shuffle stream and the mini-batch buffers [`GanTrainer::train_for`]
+/// draws into: the batch indices, then the targets and reference masks.
+struct BatchFeed {
+    stream: EpochStream,
+    indices: Vec<usize>,
+    targets: Tensor,
+    masks: Tensor,
+}
+
 /// The Algorithm 1 trainer: owns both networks and their optimizers.
 ///
 /// The trainer is fully resumable: [`GanTrainer::save_checkpoint`] persists
@@ -208,6 +217,9 @@ pub struct GanTrainer {
     epoch: u64,
     cursor: usize,
     scratch: TrainScratch,
+    /// Kept warm across [`GanTrainer::train_for`] calls; rebuilt from
+    /// `(epoch, cursor)`, never persisted.
+    feed: Option<BatchFeed>,
 }
 
 /// Format tag stored under `meta/kind` in trainer checkpoints.
@@ -241,6 +253,7 @@ impl GanTrainer {
             epoch: 0,
             cursor: 0,
             scratch: TrainScratch::new(),
+            feed: None,
         }
     }
 
@@ -407,22 +420,40 @@ impl GanTrainer {
     ///
     /// Interrupting a run after any step, checkpointing, resuming, and
     /// calling `train_for` with the remainder reproduces an uninterrupted
-    /// run bit-for-bit.
+    /// run bit-for-bit. The stream and the batch buffers stay with the
+    /// trainer (an epoch boundary reshuffles in place), so once warm a call
+    /// allocates only its returned statistics.
     ///
     /// # Panics
     ///
     /// Panics when the dataset is smaller than the saved shuffle cursor
     /// (i.e. it is not the dataset this trainer was training on).
     pub fn train_for(&mut self, dataset: &OpcDataset, steps: usize) -> Vec<StepStats> {
-        let mut stream =
-            EpochStream::at_position(dataset, self.config.seed, self.epoch, self.cursor);
+        let mut feed = match self.feed.take() {
+            Some(mut feed) => {
+                feed.stream.seek(dataset, self.epoch, self.cursor);
+                feed
+            }
+            None => BatchFeed {
+                stream: EpochStream::at_position(
+                    dataset,
+                    self.config.seed,
+                    self.epoch,
+                    self.cursor,
+                ),
+                indices: Vec::new(),
+                targets: Tensor::zeros(&[1]),
+                masks: Tensor::zeros(&[1]),
+            },
+        };
         let mut stats = Vec::with_capacity(steps);
         for _ in 0..steps {
-            let indices = stream.next_batch(dataset, self.config.batch_size);
-            let (targets, masks) = dataset.batch(&indices);
-            stats.push(self.train_step(&targets, &masks));
-            (self.epoch, self.cursor) = stream.position();
+            feed.stream.next_batch_into(dataset, self.config.batch_size, &mut feed.indices);
+            dataset.batch_into(&feed.indices, &mut feed.targets, &mut feed.masks);
+            stats.push(self.train_step(&feed.targets, &feed.masks));
+            (self.epoch, self.cursor) = feed.stream.position();
         }
+        self.feed = Some(feed);
         stats
     }
 
@@ -512,6 +543,7 @@ impl GanTrainer {
             epoch,
             cursor,
             scratch: TrainScratch::new(),
+            feed: None,
         })
     }
 

@@ -23,9 +23,10 @@
 //! working planes are per-thread and grow once), and a warm ILT run's
 //! allocation count does not depend on how many descent iterations it takes.
 //!
-//! So is Algorithm 2: a warm `Pretrainer` reuses its shuffle stream and step
-//! buffers across `train_for` calls, so its allocation count does not depend
-//! on how many steps (and epoch boundaries) a call runs.
+//! So are both trainers' step loops: a warm `GanTrainer` (Algorithm 1) and a
+//! warm `Pretrainer` (Algorithm 2) reuse their shuffle streams and batch
+//! buffers across `train_for` calls, so their allocation counts do not
+//! depend on how many steps (and epoch boundaries) a call runs.
 
 use ganopc_core::{
     Discriminator, GanTrainer, Generator, OpcDataset, PretrainConfig, Pretrainer, TrainConfig,
@@ -98,6 +99,21 @@ fn steady_state_training_and_inference_allocate_nothing() {
     let delta = allocations() - before;
     assert_eq!(delta, 0, "train_step allocated {delta} times after warmup");
 
+    // Algorithm 1 through `train_for`: four clips at batch 2 cross an epoch
+    // boundary every two steps. The trainer keeps its shuffle stream and
+    // batch buffers, so after a warm call 3 and 6 further steps allocate the
+    // same count (the returned statistics vector).
+    trainer.train_for(&dataset, 4);
+    let mut count = |steps: usize| {
+        let before = allocations();
+        let stats = trainer.train_for(&dataset, steps);
+        let delta = allocations() - before;
+        assert_eq!(stats.len(), steps);
+        delta
+    };
+    let (short, long) = (count(3), count(6));
+    assert_eq!(short, long, "warm GAN training allocated {short} times in 3 steps, {long} in 6");
+
     // Batched inference fast path.
     let mut g = Generator::new(32, 4, 3);
     let mut out = ganopc_nn::Tensor::zeros(&[1]);
@@ -152,10 +168,10 @@ fn steady_state_training_and_inference_allocate_nothing() {
     let delta = allocations() - before;
     assert_eq!(delta, 0, "obs recording allocated {delta} times");
 
-    // Lithography hot paths. The warmup primes the model's arena and grows
-    // the FFT working planes of every thread that runs a transform; after
-    // it, the gradient and the aerial image allocate nothing, serially and
-    // through the 4-way crew.
+    // Lithography hot paths. The warmup grows the litho scratch and the FFT
+    // working planes of every thread that runs a transform; after it, the
+    // gradient and the aerial image allocate nothing, serially and through
+    // the 4-way crew.
     let litho = litho_model();
     let mut target = Field::zeros(64, 64);
     for y in 20..44 {

@@ -3,60 +3,84 @@
 use crate::optics::OpticalConfig;
 use crate::socs::SocsKernels;
 use crate::{Field, LithoError};
-use ganopc_fft::spectrum::{self, KernelSpectrum};
-use ganopc_fft::{Arena, Complex, RealFft2d};
+use ganopc_fft::spectrum::{self, KernelSpectrum, Split};
+use ganopc_fft::RealFft2d;
 use ganopc_nn::pool;
 use ganopc_obs as obs;
+use std::cell::RefCell;
 
-/// One kernel's slot: the real and imaginary component fields `(p_k, q_k)`
-/// of its convolution (`None` where the kernel component was dropped as
-/// numerically zero), then its weighted Eq. (14) adjoint half-spectrum
-/// (`None` outside the gradient's adjoint stage).
-type KernelFields = (Option<Vec<f32>>, Option<Vec<f32>>, Option<Vec<Complex>>);
+/// One kernel's buffers: the real and imaginary component fields
+/// `(p_k, q_k)` of its convolution in tile layout (each used only where
+/// the kernel stores that component), then its weighted Eq. (14) adjoint
+/// half-spectrum in split planes.
+#[derive(Default)]
+struct KernelSlot {
+    fields: [Vec<f32>; 2],
+    adjoint: Vec<f32>,
+}
+
+/// A thread's litho scratch: one slot per SOCS kernel, then the per-call
+/// buffers. Frames are in [`RealFft2d`]'s tile layout and spectra in its
+/// split planes, so every move between them is one of the transform's own.
+struct Scratch {
+    kernels: Vec<KernelSlot>,
+    /// The mask's half-spectrum.
+    mask: Vec<f32>,
+    /// The intensity; the gradient overwrites it with the residual `Z − Z_t`.
+    image: Vec<f32>,
+    /// The gradient's chain factor `g`.
+    g: Vec<f32>,
+    /// The adjoint sum over kernels.
+    sum: Vec<f32>,
+}
 
 thread_local! {
-    /// Per-thread slot list for per-kernel convolved fields and adjoint
-    /// spectra. The slots are reused across every aerial/gradient evaluation
-    /// on this thread (the buffers themselves come from the model's arena),
-    /// so the hot paths materialize no per-call job or result vectors.
+    /// This thread's litho scratch. Every buffer is owned here across calls
+    /// and only grows (on a thread's first call, or for a larger model), so
+    /// warm aerial and gradient evaluations neither allocate nor zero-fill.
     /// Thread-local because pre-training runs whole gradient evaluations
-    /// concurrently on pool workers, each needing its own slot list.
-    static FIELD_SLOTS: std::cell::RefCell<Vec<KernelFields>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// concurrently on crew workers, each needing its own; the kernel jobs
+    /// a call fans out write the calling thread's slots.
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            kernels: Vec::new(),
+            mask: Vec::new(),
+            image: Vec::new(),
+            g: Vec::new(),
+            sum: Vec::new(),
+        })
+    };
 }
 
-/// Runs `f` with this thread's kernel-field slot list sized to `n` empty
-/// slots.
-fn with_field_slots<R>(n: usize, f: impl FnOnce(&mut Vec<KernelFields>) -> R) -> R {
-    FIELD_SLOTS.with(|cell| {
-        let mut slots = cell.borrow_mut();
-        slots.clear();
-        if slots.capacity() < n {
-            // ALLOC: one-time growth of the persistent per-thread slot list
-            // (one entry per SOCS kernel, ~24).
-            slots.reserve(n);
-        }
-        slots.resize_with(n, || (None, None, None));
-        f(&mut slots)
-    })
+/// Spectrum row `ky` of split planes `hw` bins wide.
+#[inline]
+fn row(planes: Split<'_>, ky: usize, hw: usize) -> Split<'_> {
+    (&planes.0[ky * hw..][..hw], &planes.1[ky * hw..][..hw])
 }
 
-/// The scratch argument [`RealFft2d::forward`] and [`RealFft2d::inverse`]
-/// take and never read: an empty `Vec`, which they never grow.
+/// `out[l] = g[l] · f[l]` over one tile row: the adjoint stage's `g ⊙ p`.
 // lint: hot-path
-fn unused_scratch() -> Vec<Complex> {
-    // ALLOC: `Vec::new` does not allocate, and the transforms never grow it.
-    Vec::new()
+fn mul_lanes(out: &mut [f32], g: &[f32], f: &[f32]) {
+    for ((o, &gi), &fi) in out.iter_mut().zip(g).zip(f) {
+        *o = gi * fi;
+    }
+}
+
+/// `acc[i] += v[i]` bin by bin: one kernel's turn in the adjoint sum.
+// lint: hot-path
+fn add_lanes(acc: &mut [f32], v: &[f32]) {
+    for (a, &c) in acc.iter_mut().zip(v) {
+        *a += c;
+    }
 }
 
 /// A planned lithography simulator for one frame size.
 ///
 /// Holds the SOCS kernel stack embedded as frame-sized packed half-spectra,
-/// the real-FFT plan, a scratch-buffer [`Arena`] shared by the worker pool,
-/// the calibrated resist threshold `I_th` and the sigmoid steepness `α` of
-/// Eq. (12). After a warm-up call on each entry point, aerial-image and
-/// gradient evaluations perform zero heap allocation for scratch (see
-/// [`LithoModel::scratch_allocations`]).
+/// the real-FFT plan, the calibrated resist threshold `I_th` and the sigmoid
+/// steepness `α` of Eq. (12). Its scratch is per thread and persistent, so
+/// after a warm-up call on each entry point, aerial-image and gradient
+/// evaluations perform zero heap allocation.
 ///
 /// ```
 /// use ganopc_litho::{Field, LithoModel};
@@ -75,8 +99,6 @@ pub struct LithoModel {
     rfft: RealFft2d,
     /// `(w_k, half-spectra of h_k)` pairs.
     spectra: Vec<(f32, KernelSpectrum)>,
-    /// Freelist of frame-sized scratch buffers shared by all pool workers.
-    arena: Arena,
     threshold: f32,
     sigmoid_alpha: f32,
     dose_delta: f32,
@@ -182,7 +204,6 @@ impl LithoModel {
             width,
             rfft,
             spectra,
-            arena: Arena::new(),
             threshold: 0.3,
             sigmoid_alpha: Self::DEFAULT_SIGMOID_ALPHA,
             dose_delta: Self::DEFAULT_DOSE_DELTA,
@@ -290,128 +311,101 @@ impl LithoModel {
         Ok(())
     }
 
-    /// Forward real FFT of a frame-sized `real` field into the packed
-    /// half-spectrum `half`.
-    // lint: hot-path
-    fn rfft_forward(&self, real: &[f32], half: &mut [Complex]) {
-        // PANIC: every caller sizes its buffers from this plan.
-        self.rfft.forward(real, half, &mut unused_scratch()).expect("planned size");
+    /// The stored components of kernel `ki`: the half-spectra of its real
+    /// and imaginary parts, `None` where a part was dropped.
+    #[inline]
+    fn components(&self, ki: usize) -> [Option<Split<'_>>; 2] {
+        let ks = &self.spectra[ki].1;
+        [ks.re_spectrum(), ks.im_spectrum()]
     }
 
-    /// Inverse real FFT of the packed half-spectrum `half` into the
-    /// frame-sized `real` field. `half` is only read; the transform keeps
-    /// its `&mut` parameter for source compatibility.
-    // lint: hot-path
-    fn rfft_inverse(&self, half: &mut [Complex], real: &mut [f32]) {
-        // PANIC: every caller sizes its buffers from this plan.
-        self.rfft.inverse(half, real, &mut unused_scratch()).expect("planned size");
+    /// Runs `f` on this thread's scratch, grown to this model: one slot per
+    /// kernel, split spectrum planes for the mask and the adjoint sum, and
+    /// tile-layout frames for the intensity and `g`. The kernel slots' own
+    /// buffers grow in the jobs that first write them.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
+        let (n, slen) = (self.height * self.width, self.rfft.spectrum_len());
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            if scratch.kernels.len() < self.spectra.len() {
+                // ALLOC: one-time growth of the persistent per-thread slot
+                // list (one entry per SOCS kernel, ~24).
+                scratch.kernels.resize_with(self.spectra.len(), KernelSlot::default);
+            }
+            // Resizing to an unchanged length touches nothing.
+            scratch.mask.resize(2 * slen, 0.0);
+            scratch.sum.resize(2 * slen, 0.0);
+            scratch.image.resize(n, 0.0);
+            scratch.g.resize(n, 0.0);
+            f(&mut scratch)
+        })
     }
 
-    /// Packed half-spectrum of a real mask, reused across kernels. The
-    /// returned buffer belongs to the arena; callers put it back when done.
+    /// Packed half-spectrum of a real mask into split planes, reused across
+    /// kernels.
     // lint: hot-path
-    fn mask_half(&self, mask: &Field) -> Vec<Complex> {
-        let mut out = self.arena.take_complex(self.rfft.spectrum_len());
-        self.rfft_forward(mask.as_slice(), &mut out);
-        out
+    fn mask_spectrum(&self, mask: &Field, spectrum: &mut [f32]) {
+        let (dst_re, dst_im) = spectrum.split_at_mut(self.rfft.spectrum_len());
+        self.rfft.forward_with(
+            |tile| tile.pack(mask.as_slice()),
+            |re, im| {
+                dst_re.copy_from_slice(re);
+                dst_im.copy_from_slice(im);
+            },
+        );
     }
 
-    /// One real component of a kernel convolution: `c2r(mask_half ⊙ comp)`.
-    /// All working storage comes from (and returns to) the arena except the
-    /// returned field, which the caller releases.
+    /// Per-kernel convolved fields `A_k = M ⊗ h_k` from the mask's
+    /// half-spectrum, split into real and imaginary parts `(p_k, q_k)`: each
+    /// is one inverse transform entered by the spectral product `M̂ ⊙ R_k`
+    /// (or `M̂ ⊙ I_k`) and left by copying the tile into the slot. Kernel
+    /// indices fan out over the shared worker pool (capped by
+    /// `GANOPC_THREADS`) through the allocation-free [`pool::run_chunks`]
+    /// path; slot `k` receives kernel `k`'s components, so downstream
+    /// reductions walk the slots in kernel order regardless of the worker
+    /// count.
     // lint: hot-path
-    fn component_field(&self, mask_half: &[Complex], comp: &[Complex]) -> Vec<f32> {
-        let mut prod = self.arena.take_complex(self.rfft.spectrum_len());
-        spectrum::mul_into(&mut prod, mask_half, comp);
-        let mut out = self.arena.take_real(self.height * self.width);
-        self.rfft_inverse(&mut prod, &mut out);
-        self.arena.put_complex(prod);
-        out
-    }
-
-    /// Per-kernel convolved fields `A_k = M ⊗ h_k` from a precomputed mask
-    /// half-spectrum, split into real and imaginary parts `(p_k, q_k)` —
-    /// `None` where the kernel component vanishes. Kernel indices fan out
-    /// over the shared worker pool (capped by `GANOPC_THREADS`) through the
-    /// allocation-free [`pool::run_chunks`] path; slot `k` of `fields`
-    /// receives kernel `k`'s components, so downstream reductions walk the
-    /// slots in kernel order regardless of the worker count.
-    // lint: hot-path
-    fn convolved_fields_into(&self, mask_half: &[Complex], fields: &mut [KernelFields]) {
-        debug_assert_eq!(fields.len(), self.spectra.len());
-        let slots = pool::DisjointMut::new(fields);
+    fn convolved_fields_into(&self, mask: Split<'_>, slots: &mut [KernelSlot]) {
+        let (n, hw) = (self.height * self.width, self.rfft.half_width());
+        let slots = pool::DisjointMut::new(&mut slots[..self.spectra.len()]);
         pool::run_chunks(self.spectra.len(), |kernels| {
             for ki in kernels {
-                let ks = &self.spectra[ki].1;
-                let p = ks.re_spectrum().map(|r| self.component_field(mask_half, r));
-                let q = ks.im_spectrum().map(|i| self.component_field(mask_half, i));
                 // SAFETY: run_chunks kernel ranges partition the slot list,
                 // so slot ki is written by exactly this chunk.
-                *unsafe { slots.index_mut(ki) } = (p, q, None);
+                let slot = unsafe { slots.index_mut(ki) };
+                for (field, comp) in slot.fields.iter_mut().zip(self.components(ki)) {
+                    let Some(comp) = comp else { continue };
+                    // ALLOC: one-time growth of this slot's persistent field.
+                    field.resize(n, 0.0);
+                    self.rfft.inverse_with(
+                        |ky, re, im| {
+                            spectrum::mul_split((re, im), row(mask, ky, hw), row(comp, ky, hw));
+                        },
+                        |tile| tile.copy_to(field),
+                    );
+                }
             }
         });
     }
 
-    /// Writes the intensity `Σ_k w_k (p_k² + q_k²)` of the frame pixels
-    /// `first .. first + out.len()` into `out`, that range's slice of the
-    /// intensity buffer. Each pixel starts from zero and adds the kernels in
-    /// kernel order, real component before imaginary, so its bits do not
-    /// depend on how the frame was split into ranges.
+    /// Writes the intensity `Σ_k w_k (p_k² + q_k²)` of the tile-layout
+    /// frame elements `first .. first + out.len()` into `out`. Each pixel
+    /// starts from zero and adds the kernels in kernel order, real component
+    /// before imaginary, so its bits do not depend on how the frame was
+    /// split into ranges.
     // lint: hot-path
-    fn intensity_rows(&self, fields: &[KernelFields], first: usize, out: &mut [f32]) {
+    fn intensity_rows(&self, slots: &[KernelSlot], first: usize, out: &mut [f32]) {
         out.fill(0.0);
-        for ((w, _), (p, q, _)) in self.spectra.iter().zip(fields) {
-            for comp in [p, q].into_iter().flatten() {
-                for (acc, &v) in out.iter_mut().zip(&comp[first..]) {
+        for (ki, ((w, _), slot)) in self.spectra.iter().zip(slots).enumerate() {
+            for (field, comp) in slot.fields.iter().zip(self.components(ki)) {
+                if comp.is_none() {
+                    continue;
+                }
+                for (acc, &v) in out.iter_mut().zip(&field[first..]) {
                     *acc += w * v * v;
                 }
             }
         }
-    }
-
-    /// Returns convolved-field buffers to the arena, emptying the slots.
-    fn release_fields(&self, fields: &mut [KernelFields]) {
-        for (p, q, _) in fields {
-            for comp in [p.take(), q.take()].into_iter().flatten() {
-                self.arena.put_real(comp);
-            }
-        }
-    }
-
-    /// Number of scratch-arena freelist misses since the model was built.
-    /// Constant across repeated hot-path calls once the arena is warm — the
-    /// zero-allocation regression tests assert on this.
-    pub fn scratch_allocations(&self) -> usize {
-        self.arena.fresh_allocations()
-    }
-
-    /// Reserves the worst-case concurrent scratch footprint in the arena.
-    ///
-    /// How many pool chunks run *simultaneously* (and therefore how many
-    /// transient FFT buffers are outstanding at once) depends on scheduling,
-    /// so warm-up calls alone cannot guarantee the freelist ever reaches its
-    /// high-water mark. Reserving the bound up front makes "warm arena
-    /// never misses" deterministic. Steady-state calls find the freelist
-    /// already full, so this is two short lock/scan sections per evaluation.
-    // lint: hot-path
-    fn prime_arena(&self) {
-        let kernels = self.spectra.len();
-        let lanes = if pool::in_worker() { 1 } else { pool::max_threads().min(kernels.max(1)) };
-        // Complex peak: the adjoint stage stores one spectrum per kernel
-        // (those still being written included) plus one `tmp` per active
-        // chunk; the final sum buffer fits once the `tmp`s are back, and the
-        // convolve stage's mask spectrum plus one `prod` per chunk fits too.
-        self.arena.reserve_complex(kernels + lanes, self.rfft.spectrum_len());
-        // Real peak: the component fields the kernels store + intensity/g +
-        // one per-chunk product buffer.
-        let components: usize = self
-            .spectra
-            .iter()
-            .map(|(_, ks)| {
-                usize::from(ks.re_spectrum().is_some()) + usize::from(ks.im_spectrum().is_some())
-            })
-            .sum();
-        self.arena.reserve_real(components + 2 + lanes, self.height * self.width);
     }
 
     /// Aerial image `I = Σ_k w_k |M ⊗ h_k|²` at nominal dose (Eq. (2)).
@@ -430,7 +424,7 @@ impl LithoModel {
     }
 
     /// Writes the aerial image into a caller-owned buffer (overwritten, not
-    /// accumulated). With a warm arena this performs zero heap allocation —
+    /// accumulated). Once warm this performs zero heap allocation —
     /// the entry point for PVB-metric callers that re-evaluate intensity per
     /// process corner and for [`LithoModel::process_window`].
     ///
@@ -450,21 +444,21 @@ impl LithoModel {
                 actual: intensity.len(),
             }));
         }
-        self.prime_arena();
-        let mask_half = self.mask_half(mask);
-        with_field_slots(self.spectra.len(), |fields| {
-            self.convolved_fields_into(&mask_half, fields);
-            self.arena.put_complex(mask_half);
-            let (width, fields_ref) = (self.width, &*fields);
-            let out = pool::DisjointMut::new(intensity);
-            pool::run_chunks(self.height, |rows| {
-                let (first, end) = (rows.start * width, rows.end * width);
+        let (h, slen) = (self.height, self.rfft.spectrum_len());
+        self.with_scratch(|scratch| {
+            let Scratch { kernels, mask: mask_spec, image, .. } = scratch;
+            self.mask_spectrum(mask, mask_spec);
+            self.convolved_fields_into(mask_spec.split_at(slen), kernels);
+            // The tile-layout frame is `width` rows of `height` lanes.
+            let (slots, out) = (&*kernels, pool::DisjointMut::new(&mut image[..]));
+            pool::run_chunks(self.width, |rows| {
+                let (first, end) = (rows.start * h, rows.end * h);
                 // SAFETY: run_chunks row ranges partition the frame, so these
                 // pixels are written by exactly this chunk.
                 let out = unsafe { out.slice_mut(first..end) };
-                self.intensity_rows(fields_ref, first, out);
+                self.intensity_rows(slots, first, out);
             });
-            self.release_fields(fields);
+            self.rfft.unpack(image, intensity);
         });
         Ok(())
     }
@@ -482,29 +476,26 @@ impl LithoModel {
     }
 
     /// Prints at `1−δ`, `1`, `1+δ` dose — inputs to the PVB metric. One
-    /// aerial simulation and a single fused sweep writing all three dose
-    /// prints per element; the intensity lives in the arena, so the only
+    /// aerial simulation into the nominal print's storage, then a single
+    /// fused sweep writing all three dose prints per element, so the only
     /// allocations are the three returned fields' storage.
     pub fn process_window(&self, mask: &Field) -> [Field; 3] {
         let n = self.height * self.width;
-        let mut aerial = self.arena.take_real(n);
+        // ALLOC: the three print buffers are the returned fields' storage.
+        let mut nominal = vec![0.0f32; n];
+        let mut inner = vec![0.0f32; n];
+        let mut outer = vec![0.0f32; n];
         // PANIC: documented panic contract shared with aerial_image; the
-        // buffer was sized to the frame two lines above.
-        self.aerial_image_into(mask, &mut aerial).expect("mask shape mismatch");
+        // buffer was sized to the frame above.
+        self.aerial_image_into(mask, &mut nominal).expect("mask shape mismatch");
         let th = self.threshold;
         let (lo, hi) = (1.0 - self.dose_delta, 1.0 + self.dose_delta);
-        // ALLOC: the three print buffers are the returned fields' storage.
-        let mut inner = vec![0.0f32; n];
-        let mut nominal = vec![0.0f32; n];
-        let mut outer = vec![0.0f32; n];
-        for (((&i, pi), pn), po) in
-            aerial.iter().zip(inner.iter_mut()).zip(nominal.iter_mut()).zip(outer.iter_mut())
-        {
+        for ((pn, pi), po) in nominal.iter_mut().zip(inner.iter_mut()).zip(outer.iter_mut()) {
+            let i = *pn;
             *pi = if lo * i >= th { 1.0 } else { 0.0 };
             *pn = if i >= th { 1.0 } else { 0.0 };
             *po = if hi * i >= th { 1.0 } else { 0.0 };
         }
-        self.arena.put_real(aerial);
         [
             Field::from_vec(self.height, self.width, inner),
             Field::from_vec(self.height, self.width, nominal),
@@ -531,9 +522,8 @@ impl LithoModel {
     /// process-window-aware ILT, which averages corners — the strategy of
     /// MOSAIC [7 in the paper].
     ///
-    /// With a warm arena this performs zero heap allocation — the entry
-    /// point for the ILT iteration loop and the per-sample pre-training
-    /// gradients.
+    /// Once warm this performs zero heap allocation — the entry point for
+    /// the ILT iteration loop and the per-sample pre-training gradients.
     ///
     /// # Errors
     ///
@@ -564,46 +554,56 @@ impl LithoModel {
         self.check_shape(mask)?;
         self.check_shape(target)?;
         assert!(dose > 0.0, "dose must be positive");
-        let slen = self.rfft.spectrum_len();
-
-        self.prime_arena();
-        let mask_half = self.mask_half(mask);
-        with_field_slots(self.spectra.len(), |fields| {
-            self.convolved_fields_into(&mask_half, fields);
-            self.arena.put_complex(mask_half);
+        let (h, w, m) = (self.height, self.width, self.width / 2);
+        let (slen, hw) = (self.rfft.spectrum_len(), self.rfft.half_width());
+        self.with_scratch(|scratch| {
+            let Scratch { kernels, mask: mask_spec, image: resid, g, sum } = scratch;
+            let kernels = &mut kernels[..self.spectra.len()];
+            self.mask_spectrum(mask, mask_spec);
+            self.convolved_fields_into(mask_spec.split_at(slen), kernels);
 
             // Aerial image, then the chain factor
             // g = 2α·dose (Z − Z_t) ⊙ Z ⊙ (1 − Z) of the relaxed wafer
-            // `Z = σ(α(dose·I − I_th))`, fanned out over frame rows. The
+            // `Z = σ(α(dose·I − I_th))`, fanned out over the rows of the
+            // tile-layout frame: row r holds image column
+            // x = 2·(r mod w/2) + r div (w/2), one lane per image row. The
             // sweep overwrites each pixel's intensity with its residual
             // `d = Z − Z_t`; the error `Σ d²` is then summed in f64 on this
             // thread in pixel order, so its bits do not depend on the split.
-            let mut resid = self.arena.take_real(n);
-            let mut g = self.arena.take_real(n);
             let alpha = self.sigmoid_alpha;
             let th = self.threshold;
             let chain = 2.0 * alpha * dose;
-            let (width, fields_ref, tgt) = (self.width, &*fields, target.as_slice());
+            let (slots, tgt) = (&*kernels, target.as_slice());
             let (resid_rows, g_rows) =
                 (pool::DisjointMut::new(&mut resid[..]), pool::DisjointMut::new(&mut g[..]));
-            pool::run_chunks(self.height, |rows| {
-                let (first, end) = (rows.start * width, rows.end * width);
+            pool::run_chunks(w, |rows| {
+                let (first, end) = (rows.start * h, rows.end * h);
                 // SAFETY: run_chunks row ranges partition the frame, so these
                 // pixels are written by exactly this chunk.
                 let ds = unsafe { resid_rows.slice_mut(first..end) };
                 // SAFETY: the same pixels of the other buffer, as above.
                 let gs = unsafe { g_rows.slice_mut(first..end) };
-                self.intensity_rows(fields_ref, first, ds);
-                for ((gi, di), &ti) in gs.iter_mut().zip(ds.iter_mut()).zip(&tgt[first..end]) {
-                    let zv = 1.0 / (1.0 + (-alpha * (dose * *di - th)).exp());
-                    let d = zv - ti;
-                    *di = d;
-                    *gi = chain * d * zv * (1.0 - zv);
+                self.intensity_rows(slots, first, ds);
+                let tile_rows = ds.chunks_exact_mut(h).zip(gs.chunks_exact_mut(h));
+                for (r, (ds, gs)) in rows.zip(tile_rows) {
+                    let column = tgt[2 * (r % m) + r / m..].iter().step_by(w);
+                    for ((gi, di), &ti) in gs.iter_mut().zip(ds.iter_mut()).zip(column) {
+                        let zv = 1.0 / (1.0 + (-alpha * (dose * *di - th)).exp());
+                        let d = zv - ti;
+                        *di = d;
+                        *gi = chain * d * zv * (1.0 - zv);
+                    }
                 }
             });
+            // Pixel (y, 2j) is lane y of row j of the real plane, and
+            // (y, 2j + 1) the same place in the imaginary plane.
+            let (d_even, d_odd) = resid.split_at(m * h);
             let mut error = 0.0f64;
-            for &d in resid.iter() {
-                error += (d as f64) * (d as f64);
+            for y in 0..h {
+                for (&a, &b) in d_even[y..].iter().step_by(h).zip(d_odd[y..].iter().step_by(h)) {
+                    error += (a as f64) * (a as f64);
+                    error += (b as f64) * (b as f64);
+                }
             }
 
             // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
@@ -612,79 +612,81 @@ impl LithoModel {
             // because c2r is linear the kernels share one:
             // grad = c2r( Σ_k 2w_k (P_k ⊙ conj(R_k) + Q_k ⊙ conj(I_k)) ),
             // P_k = r2c(g⊙p_k), Q_k = r2c(g⊙q_k) — one c2r per gradient instead
-            // of one per kernel. Kernel indices fan out over the pool through
-            // the allocation-free run_chunks path; each job consumes its slot's
-            // convolved fields and leaves the kernel's weighted adjoint
-            // half-spectrum in the slot. The sum below fans out over spectrum
-            // rows, and every bin adds the kernels in kernel order, so the
-            // gradient bits do not depend on how many workers ran.
-            let g_ref = &g;
-            let slots = pool::DisjointMut::new(&mut fields[..]);
+            // of one per kernel. Each forward transform is entered by writing
+            // g ⊙ p straight into the tile and left by forming the weighted
+            // product from the column planes into the kernel's slot:
+            // `mul_conj`, then `mul_conj_add` for a second component, with the
+            // 2w scale on the last. Kernel indices fan out over the pool; the
+            // sum below fans out over spectrum rows, and every bin adds the
+            // kernels in kernel order, so the gradient bits do not depend on
+            // how many workers ran.
+            let (g_even, g_odd) = g.split_at(m * h);
+            let slots = pool::DisjointMut::new(&mut kernels[..]);
             pool::run_chunks(self.spectra.len(), |kernels| {
                 for ki in kernels {
                     // SAFETY: run_chunks kernel ranges partition the slot list,
                     // so slot ki is owned by exactly this chunk.
                     let slot = unsafe { slots.index_mut(ki) };
-                    let (p, q) = (slot.0.take(), slot.1.take());
-                    let (w, ks) = &self.spectra[ki];
-                    let mut w_spec = self.arena.take_complex(slen);
-                    let mut tmp = self.arena.take_complex(slen);
-                    let mut u = self.arena.take_real(n);
+                    let comps = self.components(ki);
+                    let Some(last) = comps.iter().rposition(Option::is_some) else { continue };
+                    // ALLOC: one-time growth of this slot's persistent spectrum.
+                    slot.adjoint.resize(2 * slen, 0.0);
+                    let (adj_re, adj_im) = slot.adjoint.split_at_mut(slen);
                     let mut wrote = false;
-                    for (comp, half) in [(&p, ks.re_spectrum()), (&q, ks.im_spectrum())] {
-                        let (Some(field), Some(half)) = (comp, half) else { continue };
-                        for ((ui, &fi), &gi) in u.iter_mut().zip(field.iter()).zip(g_ref.iter()) {
-                            *ui = gi * fi;
-                        }
-                        self.rfft_forward(&u, &mut tmp);
-                        if wrote {
-                            spectrum::mul_conj_add_into(&mut w_spec, &tmp, half);
-                        } else {
-                            spectrum::mul_conj_into(&mut w_spec, &tmp, half);
-                            wrote = true;
-                        }
+                    for (c, (field, comp)) in slot.fields.iter().zip(comps).enumerate() {
+                        let Some(comp) = comp else { continue };
+                        let scale = if c == last { 2.0 * self.spectra[ki].0 } else { 1.0 };
+                        let (f_even, f_odd) = field.split_at(m * h);
+                        self.rfft.forward_with(
+                            |tile| {
+                                tile.fill(|j, re, im| {
+                                    let a = j * h;
+                                    mul_lanes(re, &g_even[a..][..h], &f_even[a..][..h]);
+                                    mul_lanes(im, &g_odd[a..][..h], &f_odd[a..][..h]);
+                                })
+                            },
+                            |p_re, p_im| {
+                                let adj = (&mut adj_re[..], &mut adj_im[..]);
+                                if wrote {
+                                    spectrum::mul_conj_add_split(adj, (p_re, p_im), comp, scale);
+                                } else {
+                                    spectrum::mul_conj_split(adj, (p_re, p_im), comp, scale);
+                                }
+                            },
+                        );
+                        wrote = true;
                     }
-                    for comp in [p, q].into_iter().flatten() {
-                        self.arena.put_real(comp);
-                    }
-                    self.arena.put_complex(tmp);
-                    self.arena.put_real(u);
-                    slot.2 = if wrote {
-                        let s = 2.0 * w;
-                        for c in w_spec.iter_mut() {
-                            *c = c.scale(s);
-                        }
-                        Some(w_spec)
-                    } else {
-                        self.arena.put_complex(w_spec);
-                        None
-                    };
                 }
             });
-            let mut sum = self.arena.take_complex(slen);
-            let (hw, fields_ref) = (self.rfft.half_width(), &*fields);
-            let sum_rows = pool::DisjointMut::new(&mut sum[..]);
-            pool::run_chunks(self.height, |rows| {
+            let (sum_re, sum_im) = sum.split_at_mut(slen);
+            let slots = &*kernels;
+            let (re_rows, im_rows) =
+                (pool::DisjointMut::new(&mut sum_re[..]), pool::DisjointMut::new(&mut sum_im[..]));
+            pool::run_chunks(h, |rows| {
                 let (first, end) = (rows.start * hw, rows.end * hw);
                 // SAFETY: run_chunks row ranges partition the spectrum, so
                 // these bins are written by exactly this chunk.
-                let acc = unsafe { sum_rows.slice_mut(first..end) };
-                for (_, _, w_spec) in fields_ref {
-                    let Some(w_spec) = w_spec else { continue };
-                    for (a, &c) in acc.iter_mut().zip(&w_spec[first..end]) {
-                        *a += c;
+                let acc_re = unsafe { re_rows.slice_mut(first..end) };
+                // SAFETY: the same bins of the other plane, as above.
+                let acc_im = unsafe { im_rows.slice_mut(first..end) };
+                acc_re.fill(0.0);
+                acc_im.fill(0.0);
+                for (ki, slot) in slots.iter().enumerate() {
+                    if self.components(ki).iter().all(Option::is_none) {
+                        continue;
                     }
+                    let (adj_re, adj_im) = slot.adjoint.split_at(slen);
+                    add_lanes(acc_re, &adj_re[first..end]);
+                    add_lanes(acc_im, &adj_im[first..end]);
                 }
             });
-            for slot in fields.iter_mut() {
-                if let Some(w_spec) = slot.2.take() {
-                    self.arena.put_complex(w_spec);
-                }
-            }
-            self.rfft_inverse(&mut sum, grad);
-            self.arena.put_complex(sum);
-            self.arena.put_real(g);
-            self.arena.put_real(resid);
+            self.rfft.inverse_with(
+                |ky, re, im| {
+                    re.copy_from_slice(&sum_re[ky * hw..][..hw]);
+                    im.copy_from_slice(&sum_im[ky * hw..][..hw]);
+                },
+                |tile| tile.unpack(grad),
+            );
             Ok(error)
         })
     }
@@ -932,38 +934,5 @@ mod tests {
             model.gradient_into(&mask, &mask, 1.0, &mut short),
             Err(LithoError::Fft(_))
         ));
-    }
-
-    #[test]
-    fn hot_paths_do_not_allocate_when_warm() {
-        // In focus every kernel stores one component; 60 nm out of focus
-        // every kernel stores two, so the real reserve counts 2K fields.
-        let defocused = LithoModel::new(small_config().with_defocus(60.0), 64, 64).unwrap();
-        for model in [small_model(), defocused] {
-            let defocus = model.config().defocus_nm;
-            let mask = line_mask(64, 64, 28, 36, 16, 48);
-            let target = line_mask(64, 64, 30, 34, 18, 46);
-            let mut grad = vec![0.0f32; 64 * 64];
-            // The reserve alone must cover a gradient's peak at any worker
-            // count, so not even the first call after priming misses.
-            model.prime_arena();
-            let primed = model.scratch_allocations();
-            model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap();
-            assert_eq!(
-                model.scratch_allocations(),
-                primed,
-                "defocus {defocus} nm: the primed arena missed on the first gradient"
-            );
-            for _ in 0..5 {
-                let _ = model.aerial_image(&mask);
-                model.gradient_into(&mask, &target, 1.02, &mut grad).unwrap();
-                model.gradient_into(&mask, &target, 0.98, &mut grad).unwrap();
-            }
-            assert_eq!(
-                model.scratch_allocations(),
-                primed,
-                "defocus {defocus} nm: steady-state hot paths must not miss the scratch arena"
-            );
-        }
     }
 }

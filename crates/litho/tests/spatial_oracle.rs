@@ -1,8 +1,8 @@
 //! Independent spatial-domain oracle for the SOCS aerial image (Eq. (2)) and
 //! the Eq. (14) lithography gradient.
 //!
-//! The model evaluates both through packed real FFTs, frame-sized kernel
-//! half-spectra and a scratch arena. The oracle below shares none of that:
+//! The model evaluates both through packed real FFTs and frame-sized
+//! kernel half-spectra. The oracle below shares none of that:
 //! it takes the raw SOCS taps from [`SocsKernels::from_config`] and runs
 //! direct cyclic convolutions in f64, with the kernel's center tap at
 //! offset zero (the convention the model's kernel embedding uses):

@@ -28,7 +28,7 @@ cargo test -q --release -p ganopc-fft
 echo "==> cargo test -q --release -p ganopc-nn (bit-exact GEMM chain and BatchNorm tests on the vectorized release build)"
 cargo test -q --release -p ganopc-nn
 
-echo "==> cargo test -q --release -p ganopc-litho (spatial oracle, arena and thread-identity tests on the release build)"
+echo "==> cargo test -q --release -p ganopc-litho (spatial oracle, layout-identity and thread-identity tests on the release build)"
 cargo test -q --release -p ganopc-litho
 
 echo "==> allocation regression (steady-state train/infer/litho/ILT must not allocate)"
@@ -57,5 +57,29 @@ cargo test -q --release -p ganopc-obs --test span_budget -- --nocapture
 
 echo "==> resume smoke test (checkpoint/restore bit-identity)"
 cargo run --release --example resume_training
+
+echo "==> bits across commits (ILT mask, GAN mask, model and state md5s at GANOPC_THREADS=1, 3, 4)"
+# The md5s the repository's verification recipe lists. A change meant to
+# move bits updates both lists and says so in CHANGES.md.
+want="1b739a8fea62448025a77bd1cd82460c 613eacfb115c25a8840d748410ab333b 6057ec7155cdd2fa2d2ba4ab1fb9bf87 31600ce15ba9fd80e532ca2f8be4e9cf"
+cargo build -q --release --bin ganopc
+pin_dir=$(mktemp -d)
+trap 'rm -rf "$pin_dir"' EXIT
+for threads in 1 3 4; do
+    run() {
+        GANOPC_THREADS=$threads cargo run -q --release --bin ganopc -- "$@" >"$pin_dir/log" 2>&1 ||
+            { cat "$pin_dir/log"; exit 1; }
+    }
+    out="$pin_dir/t$threads"
+    run opc --size 128 --seed 7 --flow ilt --outdir "$out/i"
+    run opc --size 128 --seed 7 --flow gan --outdir "$out/g"
+    run train --out "$out/m" --count 4 --net 32 --iters 3 --pretrain 3 --seed 5 --state "$out/S"
+    got=$(md5sum "$out/i/mask.pgm" "$out/g/mask.pgm" "$out/m" "$out/S" | cut -d' ' -f1 | xargs)
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: GANOPC_THREADS=$threads md5s are [$got], want [$want]"
+        exit 1
+    fi
+    echo "GANOPC_THREADS=$threads: all four md5s match"
+done
 
 echo "All checks passed."
