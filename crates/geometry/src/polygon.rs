@@ -112,38 +112,9 @@ impl Polygon {
         Ok(poly)
     }
 
-    /// Builds an axis-aligned rectangle polygon.
-    pub fn from_rect(rect: Rect) -> Self {
-        Polygon {
-            vertices: vec![
-                (rect.x0, rect.y0),
-                (rect.x1, rect.y0),
-                (rect.x1, rect.y1),
-                (rect.x0, rect.y1),
-            ],
-        }
-    }
-
     /// The vertex loop.
     pub fn vertices(&self) -> &[(i64, i64)] {
         &self.vertices
-    }
-
-    /// Bounding box of the outline.
-    pub fn bounding_box(&self) -> Rect {
-        let xs = self.vertices.iter().map(|v| v.0);
-        let ys = self.vertices.iter().map(|v| v.1);
-        Rect {
-            // PANIC: Polygon::new rejects outlines with fewer than 4
-            // vertices, so the min/max iterators are never empty.
-            x0: xs.clone().min().expect("nonempty"),
-            // PANIC: as above — the vertex iterator is never empty.
-            x1: xs.max().expect("nonempty"),
-            // PANIC: as above — the vertex iterator is never empty.
-            y0: ys.clone().min().expect("nonempty"),
-            // PANIC: as above — the vertex iterator is never empty.
-            y1: ys.max().expect("nonempty"),
-        }
     }
 
     /// Per-y-band x-intervals of the interior (scanline decomposition).
@@ -249,10 +220,9 @@ mod tests {
     #[test]
     fn rectangle_roundtrip() {
         let r = Rect::new(10, 20, 110, 220);
-        let p = Polygon::from_rect(r);
+        let p = Polygon::new(vec![(10, 20), (110, 20), (110, 220), (10, 220)]).unwrap();
         assert_eq!(p.area(), r.area());
         assert_eq!(p.to_rects(), vec![r]);
-        assert_eq!(p.bounding_box(), r);
     }
 
     #[test]

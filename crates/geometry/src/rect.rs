@@ -95,16 +95,6 @@ impl Rect {
         }
     }
 
-    /// Smallest rectangle containing both.
-    pub fn bounding_union(&self, other: &Rect) -> Rect {
-        Rect {
-            x0: self.x0.min(other.x0),
-            y0: self.y0.min(other.y0),
-            x1: self.x1.max(other.x1),
-            y1: self.y1.max(other.y1),
-        }
-    }
-
     /// Returns `true` when `other` lies fully inside `self`.
     pub fn contains_rect(&self, other: &Rect) -> bool {
         self.x0 <= other.x0 && self.y0 <= other.y0 && self.x1 >= other.x1 && self.y1 >= other.y1
@@ -114,11 +104,6 @@ impl Rect {
     #[inline]
     pub fn contains_point(&self, x: i64, y: i64) -> bool {
         x >= self.x0 && x < self.x1 && y >= self.y0 && y < self.y1
-    }
-
-    /// Grows (positive `d`) or shrinks (negative `d`) all four sides.
-    pub fn expand(&self, d: i64) -> Rect {
-        Rect::new(self.x0 - d, self.y0 - d, self.x1 + d, self.y1 + d)
     }
 
     /// Translates by `(dx, dy)`.
@@ -193,16 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn bounding_union_contains_both() {
-        let a = Rect::new(0, 0, 4, 4);
-        let b = Rect::new(10, -3, 12, 2);
-        let u = a.bounding_union(&b);
-        assert!(u.contains_rect(&a));
-        assert!(u.contains_rect(&b));
-        assert_eq!(u, Rect::new(0, -3, 12, 4));
-    }
-
-    #[test]
     fn gap_between_separated_wires() {
         // Two vertical wires with 60 nm horizontal spacing.
         let a = Rect::from_origin_size(0, 0, 80, 500);
@@ -224,10 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn expand_and_translate() {
+    fn translate_moves_all_sides() {
         let r = Rect::new(5, 5, 10, 10);
-        assert_eq!(r.expand(2), Rect::new(3, 3, 12, 12));
-        assert_eq!(r.expand(-2), Rect::new(7, 7, 8, 8));
         assert_eq!(r.translate(-5, 5), Rect::new(0, 10, 5, 15));
     }
 

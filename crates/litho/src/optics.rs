@@ -76,13 +76,6 @@ impl OpticalConfig {
         self.numerical_aperture / self.wavelength_nm
     }
 
-    /// Rayleigh-style minimum printable half-pitch `0.25·λ/NA`, nm.
-    /// (k₁ = 0.25 is the theoretical single-exposure limit.)
-    #[inline]
-    pub fn resolution_limit_nm(&self) -> f64 {
-        0.25 * self.wavelength_nm / self.numerical_aperture
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -145,11 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_and_resolution() {
+    fn cutoff_frequency() {
         let cfg = OpticalConfig::default_32nm(8.0);
         assert!((cfg.cutoff_per_nm() - 1.35 / 193.0).abs() < 1e-12);
-        // ~35.7 nm half-pitch limit: prints 80 nm M1 comfortably.
-        assert!((cfg.resolution_limit_nm() - 35.74).abs() < 0.1);
     }
 
     #[test]

@@ -65,6 +65,10 @@ want="1b739a8fea62448025a77bd1cd82460c 613eacfb115c25a8840d748410ab333b 6057ec71
 cargo build -q --release --bin ganopc
 pin_dir=$(mktemp -d)
 trap 'rm -rf "$pin_dir"' EXIT
+# A fresh kernel cache: the default one is keyed by optical config alone,
+# so kernels an older build derived there would stand in for the code
+# under test.
+export GANOPC_CACHE_DIR="$pin_dir/kernel-cache"
 for threads in 1 3 4; do
     run() {
         GANOPC_THREADS=$threads cargo run -q --release --bin ganopc -- "$@" >"$pin_dir/log" 2>&1 ||

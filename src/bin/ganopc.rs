@@ -21,7 +21,6 @@ use gan_opc::geometry::{ClipSynthesizer, DesignRules};
 use gan_opc::ilt::{IltConfig, IltEngine};
 use gan_opc::litho::metrics::{DefectConfig, MaskMetrics};
 use gan_opc::litho::{Field, LithoModel};
-use gan_opc::mbopc::{MbOpcConfig, MbOpcEngine};
 use gan_opc::obs::{self, MetricsSnapshot};
 use std::collections::HashMap;
 use std::path::Path;
@@ -38,7 +37,7 @@ COMMANDS (PX values are powers of two in 8..=2048):
                    --seed N (default 7)  --groups N (default 10)
                    --size PX (default 128)  --out FILE.pgm (optional)
     opc          optimize a clip (synthesized, or loaded with --clip)
-                   --flow ilt|mbopc|gan (default ilt)  --seed N  --size PX
+                   --flow ilt|gan (default ilt)  --seed N  --size PX
                    --clip FILE (text layout; see geometry::textfmt)
                    --ckpt FILE (gan flow: trained generator weights)
                    --outdir DIR (write target/mask/wafer PGMs)
@@ -220,7 +219,6 @@ fn cmd_synthesize(args: &HashMap<String, String>) -> Result<(), CliError> {
 /// The mask-optimization flows `ganopc opc` runs.
 enum OpcFlow {
     Ilt,
-    MbOpc,
     Gan(FlowConfig),
 }
 
@@ -229,9 +227,8 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
     let size = get_size(args, "size", 128)?;
     let flow = match args.get("flow").map(String::as_str).unwrap_or("ilt") {
         "ilt" => OpcFlow::Ilt,
-        "mbopc" => OpcFlow::MbOpc,
         "gan" => OpcFlow::Gan(gan_flow_config(args, size)?),
-        other => return Err(CliError::Usage(format!("unknown flow '{other}' (ilt|mbopc|gan)"))),
+        other => return Err(CliError::Usage(format!("unknown flow '{other}' (ilt|gan)"))),
     };
     let clip = match args.get("clip") {
         Some(path) => gan_opc::geometry::textfmt::read_layout(path)
@@ -239,10 +236,10 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
         None => synthesize_clip(seed, 10),
     };
     let target: Field = clip.rasterize_raster(size, size).binarize(0.5);
-    let model =
-        LithoModel::iccad2013_like_cached(size).map_err(|e| CliError::Other(e.to_string()))?;
 
-    let (label, mask, wafer, runtime_s) = match flow {
+    // Each flow scores its final mask from the three dose prints its last
+    // aerial image already made.
+    let (label, mask, wafer, metrics, runtime_s) = match flow {
         OpcFlow::Ilt => {
             let mut engine = IltEngine::new(
                 LithoModel::iccad2013_like_cached(size)
@@ -250,16 +247,14 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
                 IltConfig::mosaic(),
             );
             let r = engine.optimize(&target).map_err(|e| CliError::Other(e.to_string()))?;
-            ("ILT", r.mask, r.wafer, r.runtime_s)
-        }
-        OpcFlow::MbOpc => {
-            let mut engine = MbOpcEngine::new(
-                LithoModel::iccad2013_like_cached(size)
-                    .map_err(|e| CliError::Other(e.to_string()))?,
-                MbOpcConfig::standard(),
+            let [inner, outer] = &r.corner_wafers;
+            let metrics = MaskMetrics::from_prints(
+                [inner, &r.wafer, outer],
+                &target,
+                engine.model().pixel_nm(),
+                &DefectConfig::default(),
             );
-            let r = engine.optimize(&clip).map_err(|e| CliError::Other(e.to_string()))?;
-            ("MB-OPC", r.mask, r.wafer, r.runtime_s)
+            ("ILT", r.mask, r.wafer, metrics, r.runtime_s)
         }
         OpcFlow::Gan(cfg) => {
             let mut flow = GanOpcFlow::new(cfg).map_err(|e| classify("", e))?;
@@ -269,11 +264,10 @@ fn cmd_opc(args: &HashMap<String, String>) -> Result<(), CliError> {
                 eprintln!("warning: no --ckpt given; running with an untrained generator");
             }
             let r = flow.optimize(&target).map_err(|e| classify("", e))?;
-            ("GAN-OPC", r.mask, r.wafer, r.total_runtime_s)
+            ("GAN-OPC", r.mask, r.wafer, r.metrics, r.total_runtime_s)
         }
     };
 
-    let metrics = MaskMetrics::evaluate(&model, &mask, &target, &DefectConfig::default());
     println!("{label} on seed {seed} ({size}x{size}):");
     println!("  squared L2 : {:>10.0} nm²", metrics.l2_nm2);
     println!("  PV band    : {:>10.0} nm²", metrics.pvb_nm2);

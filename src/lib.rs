@@ -47,7 +47,6 @@ pub use ganopc_fft as fft;
 pub use ganopc_geometry as geometry;
 pub use ganopc_ilt as ilt;
 pub use ganopc_litho as litho;
-pub use ganopc_mbopc as mbopc;
 pub use ganopc_nn as nn;
 pub use ganopc_obs as obs;
 
@@ -60,6 +59,5 @@ pub mod prelude {
     pub use ganopc_geometry::{ClipSynthesizer, DesignRules, Layout, Rect};
     pub use ganopc_ilt::{IltConfig, IltEngine, IltResult};
     pub use ganopc_litho::{Field, LithoModel, MaskMetrics};
-    pub use ganopc_mbopc::{MbOpcConfig, MbOpcEngine};
     pub use ganopc_nn::Tensor;
 }

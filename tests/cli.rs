@@ -35,7 +35,7 @@ fn expect_failure(dir: &PathBuf, args: &[&str], code: i32, needle: &str) {
 #[test]
 fn bad_sizes_and_iteration_counts_are_usage_errors() {
     let dir = workdir("usage");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["opc", "--size", "0"], "--size"),
         (&["synthesize", "--size", "0", "--out", "x.pgm"], "--size"),
         (&["opc", "--size", "96"], "--size"),
@@ -43,6 +43,7 @@ fn bad_sizes_and_iteration_counts_are_usage_errors() {
         (&["train", "--net", "48"], "--net"),
         (&["train", "--iters", "0", "--count", "2", "--net", "32"], "iterations"),
         (&["opc", "--flow", "gan", "--size", "64", "--net", "128"], "net_size"),
+        (&["opc", "--flow", "mbopc", "--size", "64"], "unknown flow"),
     ];
     for (args, needle) in cases {
         expect_failure(&dir, args, 2, needle);

@@ -1,4 +1,4 @@
-//! Interoperability integration tests: text layouts, polygons, MB-OPC,
+//! Interoperability integration tests: text layouts, polygons,
 //! checkpoints and the flow guards, exercised across crates.
 
 use gan_opc::core::{FlowConfig, GanOpcFlow, Generator};
@@ -6,7 +6,6 @@ use gan_opc::geometry::polygon::Polygon;
 use gan_opc::geometry::textfmt;
 use gan_opc::geometry::{Layout, Rect};
 use gan_opc::litho::{Field, LithoModel, OpticalConfig};
-use gan_opc::mbopc::{MbOpcConfig, MbOpcEngine};
 
 fn small_litho(size: usize) -> LithoModel {
     let mut cfg = OpticalConfig::default_32nm(2048.0 / size as f64);
@@ -16,9 +15,9 @@ fn small_litho(size: usize) -> LithoModel {
 }
 
 #[test]
-fn text_layout_feeds_every_opc_flow() {
+fn text_layout_feeds_the_gan_flow() {
     // A user-authored clip with a polygon, loaded from the text format and
-    // pushed through MB-OPC and the GAN-OPC flow.
+    // pushed through the GAN-OPC flow.
     let text = "\
 frame 0 0 2048 2048
 rect 400 300 480 1500
@@ -26,10 +25,6 @@ poly 800,300 1200,300 1200,380 880,380 880,1500 800,1500
 ";
     let clip = textfmt::parse_layout(text).unwrap();
     assert_eq!(clip.shapes().len(), 3);
-
-    let mut mb = MbOpcEngine::new(small_litho(64), MbOpcConfig::fast());
-    let mb_result = mb.optimize(&clip).unwrap();
-    assert!(mb_result.binary_l2_nm2.is_finite());
 
     let mut fcfg = FlowConfig::fast();
     fcfg.refinement.max_iterations = 10;
@@ -142,19 +137,4 @@ fn v1_generator_file_loads() {
     restored.load(&path).unwrap();
     assert_eq!(restored.forward(&x, false), original.forward(&x, false));
     std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn sraf_bars_respect_drc_spacing_to_main_features() {
-    use gan_opc::mbopc::sraf::{insert_srafs, SrafRules};
-    let clip =
-        gan_opc::geometry::ClipSynthesizer::new(gan_opc::geometry::DesignRules::m1_32nm(), 2048, 6)
-            .synthesize(42);
-    let rules = SrafRules::default();
-    let bars = insert_srafs(&clip, &rules);
-    for bar in &bars {
-        for shape in clip.shapes() {
-            assert!(bar.gap(shape) >= rules.gap_nm, "bar {bar} too close to {shape}");
-        }
-    }
 }
