@@ -96,18 +96,21 @@ fn ablate_discriminator(scale: Scale) {
         let p = d.forward_mask(&masks, true);
         let (_, gp) = bce_scalar_label(&p, 1.0);
         d.zero_grads();
-        let gm = d.backward_mask(&gp);
+        let mut gm = d.backward_mask(&gp);
+        gm.scale_assign(1.0 / 4.0);
         g.zero_grads();
-        g.backward(&gm.scale(1.0 / 4.0));
+        g.backward(&gm);
         opt_g.step(g.net_mut());
         d.zero_grads();
         // D update.
         let pr = d.forward_mask(&refs, true);
-        let (_, gr) = bce_scalar_label(&pr, 1.0);
-        d.backward_mask(&gr.scale(1.0 / 4.0));
+        let (_, mut gr) = bce_scalar_label(&pr, 1.0);
+        gr.scale_assign(1.0 / 4.0);
+        d.backward_mask(&gr);
         let pf = d.forward_mask(&masks, true);
-        let (_, gf) = bce_scalar_label(&pf, 0.0);
-        d.backward_mask(&gf.scale(1.0 / 4.0));
+        let (_, mut gf) = bce_scalar_label(&pf, 0.0);
+        gf.scale_assign(1.0 / 4.0);
+        d.backward_mask(&gf);
         opt_d.step(d.net_mut());
         d.zero_grads();
         // Track the *mapping* quality: per-pixel L2 vs the matched reference.

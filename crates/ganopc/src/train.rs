@@ -230,8 +230,10 @@ impl GanTrainer {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`TrainConfig::validate`] or the networks
-    /// disagree on spatial size.
+    /// Panics if `config` fails [`TrainConfig::validate`], the networks
+    /// disagree on spatial size, or the discriminator is
+    /// [`Discriminator::mask_only`] (Algorithm 1 scores `(target, mask)`
+    /// pairs).
     pub fn new(generator: Generator, discriminator: Discriminator, config: TrainConfig) -> Self {
         // PANIC: documented above — misconfigured training is a programming
         // error at construction, not a runtime condition to recover from.
@@ -241,6 +243,8 @@ impl GanTrainer {
             discriminator.size(),
             "generator and discriminator must share the clip size"
         );
+        // PANIC: documented above — `train_step` feeds the discriminator pairs.
+        assert!(discriminator.takes_pairs(), "the gan trainer needs a pair discriminator");
         let opt_g = Sgd::new(config.lr_generator, config.momentum);
         let opt_d = Sgd::new(config.lr_discriminator, config.momentum);
         GanTrainer {
@@ -499,7 +503,11 @@ impl GanTrainer {
         let size = ck.get_u64("arch/size")? as usize;
         let g_base = ck.get_u64("arch/g_base")? as usize;
         let d_base = ck.get_u64("arch/d_base")? as usize;
-        let d_pair = ck.get_u64("arch/d_pair")? != 0;
+        if ck.get_u64("arch/d_pair")? == 0 {
+            return Err(GanOpcError::Config(
+                "checkpoint holds a mask-only discriminator; the gan trainer scores pairs".into(),
+            ));
+        }
         // Bound the scalars before they reach network constructors: an
         // untrusted checkpoint must not be able to panic or demand
         // terabytes via a giant "resolution".
@@ -515,11 +523,7 @@ impl GanTrainer {
         // Seeds only affect the initialization that is immediately
         // overwritten by the imported weights.
         let mut generator = Generator::new(size, g_base, 0);
-        let mut discriminator = if d_pair {
-            Discriminator::new(size, d_base, 0)
-        } else {
-            Discriminator::mask_only(size, d_base, 0)
-        };
+        let mut discriminator = Discriminator::new(size, d_base, 0);
         generator.import_params(&ck.take_tensors("g/params")?)?;
         discriminator.import_params(&ck.take_tensors("d/params")?)?;
         let mut opt_g = Sgd::new(config.lr_generator, config.momentum);

@@ -241,6 +241,22 @@ fn wrong_kind_and_hostile_state_rejected() {
 }
 
 #[test]
+fn mask_only_discriminator_state_is_a_config_error() {
+    // `arch/d_pair = 0` describes a discriminator that scores masks alone,
+    // which the trainer's pair step cannot feed: loading it must fail with
+    // a typed error instead of resuming into a panic at the first step. The
+    // trainer has not stepped, so both velocity lists are empty and only
+    // the architecture differs from a loadable state.
+    let mut ck = fresh_trainer(TrainConfig::fast()).to_checkpoint();
+    ck.put_u64("arch/d_pair", 0);
+    ck.put_tensors("d/params", &Discriminator::mask_only(32, 4, 6).export_params());
+    match GanTrainer::from_checkpoint(ck) {
+        Err(GanOpcError::Config(msg)) => assert!(msg.contains("mask-only discriminator"), "{msg}"),
+        other => panic!("expected a config error, got {other:?}"),
+    }
+}
+
+#[test]
 fn legacy_best_snapshot_sections_are_ignored() {
     // Trainer states written before the validation-training loop was
     // removed may carry `best/*` sections. They still load, and the

@@ -2,10 +2,11 @@
 //!
 //! Deriving a kernel stack means assembling and eigendecomposing the TCC —
 //! the dominant cost of [`crate::LithoModel`] construction (seconds at the
-//! default pupil grid). The stack depends only on the [`OpticalConfig`], so
-//! it is cached to disk keyed by a hash of the configuration; experiment
-//! binaries that build many models of the same optics pay the eigensolve
-//! once per process *and* once per machine.
+//! default pupil grid). The stack depends only on the [`OpticalConfig`] and
+//! the derivation code, so it is cached to disk keyed by a hash of both;
+//! experiment binaries that build many models of the same optics pay the
+//! eigensolve once per process *and* once per machine, and a build whose
+//! derivation differs never reads an older build's kernels.
 
 use crate::optics::OpticalConfig;
 use crate::socs::{SocsKernel, SocsKernels};
@@ -24,29 +25,57 @@ struct StackImage {
     kernels: Vec<(f32, Vec<(f32, f32)>)>,
 }
 
-/// A stable, quantized fingerprint of an optical configuration.
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of the kernel derivation's source files, taken at compile time.
+/// Any edit to them (the optics, the TCC, the eigensolver or the SOCS
+/// decomposition) changes every [`config_key`].
+const DERIVATION_KEY: u64 = {
+    let h = fnv1a(FNV_OFFSET, include_bytes!("optics.rs"));
+    let h = fnv1a(h, include_bytes!("tcc.rs"));
+    let h = fnv1a(h, include_bytes!("jacobi.rs"));
+    fnv1a(h, include_bytes!("socs.rs"))
+};
+
+/// Continues the FNV-1a hash `h` over `bytes` (stable across platforms and
+/// runs, unlike `DefaultHasher`).
+const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+        i += 1;
+    }
+    h
+}
+
+/// A stable, quantized fingerprint of an optical configuration and of the
+/// code that derives its kernels.
 ///
 /// Floats are quantized to 1e-9 so that configurations equal up to noise
-/// share a cache entry, and the hash is FNV-1a over the quantized fields
-/// (stable across platforms and runs, unlike `DefaultHasher`).
+/// share a cache entry. The key names the cache file and is checked against
+/// the file's header, so an entry an older derivation wrote is never read.
 pub fn config_key(cfg: &OpticalConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
+    fields_key(DERIVATION_KEY, cfg)
+}
+
+/// Continues the hash `h` over the quantized optical fields.
+fn fields_key(mut h: u64, cfg: &OpticalConfig) -> u64 {
     let q = |f: f64| (f * 1e9).round() as i64 as u64;
-    mix(q(cfg.wavelength_nm));
-    mix(q(cfg.numerical_aperture));
-    mix(q(cfg.sigma_inner));
-    mix(q(cfg.sigma_outer));
-    mix(q(cfg.pixel_nm));
-    mix(cfg.kernel_size as u64);
-    mix(cfg.num_kernels as u64);
-    mix(cfg.pupil_grid as u64);
-    mix(q(cfg.defocus_nm));
+    for v in [
+        q(cfg.wavelength_nm),
+        q(cfg.numerical_aperture),
+        q(cfg.sigma_inner),
+        q(cfg.sigma_outer),
+        q(cfg.pixel_nm),
+        cfg.kernel_size as u64,
+        cfg.num_kernels as u64,
+        cfg.pupil_grid as u64,
+        q(cfg.defocus_nm),
+    ] {
+        h = fnv1a(h, &v.to_le_bytes());
+    }
     h
 }
 
@@ -287,6 +316,29 @@ mod tests {
         // And the file was repaired.
         let cached = load_or_derive(&cfg, &dir);
         assert!(stacks_equal(&derived, &cached));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entries_from_another_derivation_are_not_served() {
+        // An entry under the configuration-only key, in both its file name
+        // and its header: what a build that did not hash its derivation
+        // sources wrote and read. Its taps differ from this build's.
+        let dir = temp_dir("stale");
+        let cfg = fast_cfg();
+        let fresh = SocsKernels::from_config(&cfg);
+        let mut stale = to_image(&cfg, &fresh);
+        stale.config_key = fields_key(FNV_OFFSET, &cfg);
+        assert_ne!(stale.config_key, config_key(&cfg));
+        for (_, taps) in &mut stale.kernels {
+            for (re, _) in taps.iter_mut() {
+                *re *= 0.5;
+            }
+        }
+        std::fs::write(cache_path(&dir, stale.config_key), encode(&stale)).unwrap();
+        let planted = decode(&std::fs::read(cache_path(&dir, stale.config_key)).unwrap());
+        assert!(!stacks_equal(&from_image(planted.expect("decodable")), &fresh));
+        assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

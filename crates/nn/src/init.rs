@@ -28,7 +28,7 @@ pub fn he_normal(shape: &[usize], seed: u64) -> Tensor {
 }
 
 /// Xavier (Glorot) uniform initialization: `U(±√(6/(fan_in+fan_out)))` —
-/// used for the sigmoid/tanh output layers.
+/// used for the sigmoid output layers.
 pub fn xavier_uniform(shape: &[usize], seed: u64) -> Tensor {
     let fan_in: usize = shape[1..].iter().product::<usize>().max(1);
     let fan_out = shape[0].max(1);

@@ -1,11 +1,12 @@
 //! Element-wise activations.
 //!
 //! Every activation here caches its **output** in a persistent buffer and
-//! derives the backward pass from it: sigmoid/tanh have closed-form
-//! derivatives in the output, and the (leaky) ReLU derivative only needs
-//! the sign of the input, which the output preserves. Caching the output
-//! is what makes the in-place fast path possible — the input no longer
-//! exists once the buffer has been transformed.
+//! derives the backward pass from it: sigmoid has a closed-form derivative
+//! in the output, and the (leaky) ReLU derivative only needs the sign of
+//! the input, which the output preserves. Caching the output is what makes
+//! the in-place pass possible — the input no longer exists once the buffer
+//! has been transformed. That in-place pass is each activation's one body:
+//! `forward_into`/`backward_into` copy into the destination and run it.
 
 use super::{Layer, Param};
 use crate::Tensor;
@@ -36,31 +37,19 @@ macro_rules! activation_layer {
 
         impl Layer for $name {
             // lint: hot-path
-            fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
-                let fwd: fn(f32) -> f32 = $fwd;
-                out.resize(input.shape());
-                for (d, &s) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                    *d = fwd(s);
-                }
-                cache_output(&mut self.cache, out);
+            fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+                out.copy_from(input);
+                self.forward_inplace(out, train);
             }
 
             // lint: hot-path
             fn backward_into(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
-                // PANIC: Layer contract — backward runs only after forward cached state.
-                let cached = self.cache.as_ref().expect("backward before forward");
-                assert_eq!(cached.shape(), grad_out.shape(), "activation grad shape mismatch");
-                let bwd: fn(f32) -> f32 = $bwd;
-                if let Some(gi) = grad_in {
-                    gi.resize(grad_out.shape());
-                    for ((d, &c), &g) in gi
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(cached.as_slice())
-                        .zip(grad_out.as_slice())
-                    {
-                        *d = g * bwd(c);
+                match grad_in {
+                    Some(gi) => {
+                        gi.copy_from(grad_out);
+                        self.backward_inplace(gi);
                     }
+                    None => assert!(self.cache.is_some(), "backward before forward"),
                 }
             }
 
@@ -112,13 +101,6 @@ activation_layer!(
     bwd_from_out: |y| y * (1.0 - y)
 );
 
-activation_layer!(
-    /// Hyperbolic tangent.
-    Tanh,
-    fwd: |x| x.tanh(),
-    bwd_from_out: |y| 1.0 - y * y
-);
-
 /// Leaky ReLU with configurable negative slope (GAN discriminators
 /// conventionally use 0.2).
 #[derive(Debug)]
@@ -147,32 +129,19 @@ impl Default for LeakyRelu {
 
 impl Layer for LeakyRelu {
     // lint: hot-path
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
-        let s = self.slope;
-        out.resize(input.shape());
-        for (d, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *d = if x > 0.0 { x } else { s * x };
-        }
-        cache_output(&mut self.cache, out);
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+        out.copy_from(input);
+        self.forward_inplace(out, train);
     }
 
     // lint: hot-path
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
-        // Scaling by a slope in [0, 1) preserves the sign of negative
-        // inputs (and maps them to ±0 for slope 0), so `y > 0 ⟺ x > 0`
-        // and the cached output decides the branch exactly as the input
-        // would have.
-        // PANIC: Layer contract — backward runs only after forward cached state.
-        let cached = self.cache.as_ref().expect("backward before forward");
-        assert_eq!(cached.shape(), grad_out.shape(), "activation grad shape mismatch");
-        let s = self.slope;
-        if let Some(gi) = grad_in {
-            gi.resize(grad_out.shape());
-            for ((d, &y), &g) in
-                gi.as_mut_slice().iter_mut().zip(cached.as_slice()).zip(grad_out.as_slice())
-            {
-                *d = if y > 0.0 { g } else { s * g };
+        match grad_in {
+            Some(gi) => {
+                gi.copy_from(grad_out);
+                self.backward_inplace(gi);
             }
+            None => assert!(self.cache.is_some(), "backward before forward"),
         }
     }
 
@@ -190,6 +159,10 @@ impl Layer for LeakyRelu {
 
     // lint: hot-path
     fn backward_inplace(&mut self, g: &mut Tensor) -> bool {
+        // Scaling by a slope in [0, 1) preserves the sign of negative
+        // inputs (and maps them to ±0 for slope 0), so `y > 0 ⟺ x > 0`
+        // and the cached output decides the branch exactly as the input
+        // would have.
         // PANIC: Layer contract — backward runs only after forward cached state.
         let cached = self.cache.as_ref().expect("backward before forward");
         assert_eq!(cached.shape(), g.shape(), "activation grad shape mismatch");
@@ -230,13 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn tanh_is_odd() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(&[2], vec![-1.3, 1.3]), true);
-        assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
-    }
-
-    #[test]
     fn leaky_scales_negative_side() {
         let mut l = LeakyRelu::new(0.1);
         let y = l.forward(&Tensor::from_vec(&[2], vec![-2.0, 2.0]), true);
@@ -249,7 +215,6 @@ mod tests {
         let x = init::uniform(&[2, 3, 4, 4], -1.0, 1.0, 20);
         gradcheck::check_input_gradient(&mut Relu::new(), &x, 0.05);
         gradcheck::check_input_gradient(&mut Sigmoid::new(), &x, 0.02);
-        gradcheck::check_input_gradient(&mut Tanh::new(), &x, 0.02);
         gradcheck::check_input_gradient(&mut LeakyRelu::new(0.2), &x, 0.05);
     }
 

@@ -41,19 +41,19 @@ impl Flatten {
 
 impl Layer for Flatten {
     // lint: hot-path
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
-        let (n, rest) = self.cache(input.shape());
-        out.resize(&[n, rest]);
-        out.as_mut_slice().copy_from_slice(input.as_slice());
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+        out.copy_from(input);
+        self.forward_inplace(out, train);
     }
 
     // lint: hot-path
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
-        // PANIC: Layer contract — backward runs only after forward cached state.
-        let shape = self.cache_shape.as_ref().expect("backward before forward");
-        if let Some(gi) = grad_in {
-            gi.resize(shape);
-            gi.as_mut_slice().copy_from_slice(grad_out.as_slice());
+        match grad_in {
+            Some(gi) => {
+                gi.copy_from(grad_out);
+                self.backward_inplace(gi);
+            }
+            None => assert!(self.cache_shape.is_some(), "backward before forward"),
         }
     }
 

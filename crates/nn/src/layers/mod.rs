@@ -4,27 +4,24 @@
 //! whatever its backward pass needs, and one backward body,
 //! [`Layer::backward_into`], which consumes that cache, writes the gradient
 //! with respect to the layer input and accumulates parameter gradients into
-//! its [`Param`]s. The allocating [`Layer::forward`]/[`Layer::backward`]
-//! are provided wrappers over them. Gradients accumulate across calls until
-//! [`Sequential::zero_grads`] (mini-batch accumulation, paper Algorithms 1
-//! and 2 lines 9–10).
+//! its [`Param`]s (an element-wise layer's two bodies are its in-place
+//! passes; see [`Layer`]). The allocating [`Layer::forward`]/
+//! [`Layer::backward`] are provided wrappers over them. Gradients
+//! accumulate across calls until [`Sequential::zero_grads`] (mini-batch
+//! accumulation, paper Algorithms 1 and 2 lines 9–10).
 
 mod activations;
 mod batchnorm;
 mod conv;
 mod convcore;
-mod dropout;
 mod flatten;
 mod linear;
-mod pooling;
 
-pub use activations::{LeakyRelu, Relu, Sigmoid, Tanh};
+pub use activations::{LeakyRelu, Relu, Sigmoid};
 pub use batchnorm::BatchNorm2d;
 pub use conv::{Conv2d, ConvTranspose2d};
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pooling::AvgPool2d;
 
 pub(crate) use convcore::{col2im_into, conv_out_size, deconv_out_size, im2col_into};
 
@@ -57,8 +54,11 @@ impl Param {
 /// Layers are stateful: the forward pass caches activations for the next
 /// backward pass. Implementors write only the buffer-reusing
 /// [`Layer::forward_into`]/[`Layer::backward_into`] bodies; the allocating
-/// [`Layer::forward`]/[`Layer::backward`] wrap them. A backward pass
-/// without a preceding forward pass panics.
+/// [`Layer::forward`]/[`Layer::backward`] wrap them. An element-wise layer
+/// writes its one body as [`Layer::forward_inplace`]/
+/// [`Layer::backward_inplace`] instead, and its `_into` methods copy into
+/// the destination and run it there. A backward pass without a preceding
+/// forward pass panics.
 pub trait Layer: Send {
     /// Computes the layer output into `out`, resizing it in place. `out`
     /// must not alias `input`. `train` selects training behaviour (e.g.

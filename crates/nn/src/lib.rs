@@ -9,10 +9,11 @@
 //!   encoder/decoder convolutions of Fig. 4), [`layers::Linear`],
 //!   [`layers::BatchNorm2d`], activations, [`layers::Flatten`] and the
 //!   [`layers::Sequential`] container;
-//! * [`loss`] — mean-squared-error and binary-cross-entropy losses with
+//! * [`loss`] — summed-squared-error and binary-cross-entropy losses with
 //!   their input gradients (Eq. (7)–(10) assemble from these);
-//! * [`optim`] — SGD with momentum and Adam, operating on the parameter
-//!   visitation order of a network;
+//! * [`optim`] — SGD with momentum (plain SGD at zero momentum, the
+//!   paper's update), operating on the parameter visitation order of a
+//!   network;
 //! * [`init`] — seeded He/Xavier initialization so training runs are
 //!   reproducible.
 //!

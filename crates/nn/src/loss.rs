@@ -7,38 +7,6 @@
 
 use crate::{guard, Tensor};
 
-/// Mean squared error `Σ (a − b)² / N` and its gradient with respect to `a`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-///
-/// ```
-/// use ganopc_nn::{loss::mse, Tensor};
-/// let a = Tensor::from_vec(&[2], vec![1.0, 2.0]);
-/// let b = Tensor::from_vec(&[2], vec![0.0, 2.0]);
-/// let (value, grad) = mse(&a, &b);
-/// assert!((value - 0.5).abs() < 1e-6);
-/// assert_eq!(grad.as_slice(), &[1.0, 0.0]);
-/// ```
-pub fn mse(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
-    assert_eq!(a.shape(), b.shape(), "mse shape mismatch");
-    let n = a.len() as f64;
-    let mut value = 0.0f64;
-    let grad: Vec<f32> = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| {
-            let d = x - y;
-            value += (d as f64) * (d as f64);
-            2.0 * d / n as f32
-        })
-        .collect();
-    guard::check_finite_scalar("mse loss", value / n);
-    (value / n, Tensor::from_vec(a.shape(), grad))
-}
-
 /// *Summed* squared error `Σ (a − b)²` — the paper's `‖M* − M‖₂²` term
 /// (Algorithm 1 line 7) without averaging, so the α weight in the combined
 /// loss means the same thing it does in the paper. Returns the sum and
@@ -143,27 +111,11 @@ mod tests {
     }
 
     #[test]
-    fn mse_zero_at_match() {
+    fn sse_zero_at_match() {
         let a = Tensor::from_vec(&[3], vec![1.0, -1.0, 0.5]);
-        let (v, g) = mse(&a, &a);
+        let (v, g) = sse(&a, &a);
         assert_eq!(v, 0.0);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn mse_gradient_fd() {
-        let b = Tensor::from_vec(&[4], vec![0.1, 0.9, 0.4, -0.3]);
-        let x = Tensor::from_vec(&[4], vec![0.7, -0.2, 0.0, 0.5]);
-        fd_check(&|t| mse(t, &b), &x, 0.01);
-    }
-
-    #[test]
-    fn sse_is_n_times_mse() {
-        let a = Tensor::from_vec(&[4], vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Tensor::zeros(&[4]);
-        let (m, _) = mse(&a, &b);
-        let (s, _) = sse(&a, &b);
-        assert!((s - 4.0 * m).abs() < 1e-9);
     }
 
     #[test]
@@ -207,11 +159,12 @@ mod tests {
         let p = Tensor::from_vec(&[4], vec![0.2, 0.5, 0.7, 0.9]);
         for label in [0.0, 1.0] {
             for scale in [1.0f32, 0.25] {
-                let (v, g) = bce_scalar_label(&p, label);
+                let (v, mut g) = bce_scalar_label(&p, label);
                 let mut fused = Tensor::zeros(&[1]);
                 let fv = bce_scalar_label_into(&p, label, scale, &mut fused);
                 assert_eq!(fv, v);
-                assert_eq!(fused, g.scale(scale));
+                g.scale_assign(scale);
+                assert_eq!(fused, g);
             }
         }
     }

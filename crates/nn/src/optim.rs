@@ -1,8 +1,8 @@
-//! Optimizers.
+//! The optimizer.
 //!
-//! Both optimizers walk a network's parameters in the stable
-//! [`Sequential::visit_params`] order and keep per-parameter state indexed by
-//! that order, so they must always be used with the same network they were
+//! [`Sgd`] walks a network's parameters in the stable
+//! [`Sequential::visit_params`] order and keeps per-parameter state indexed
+//! by that order, so it must always be used with the same network it was
 //! first stepped on.
 //!
 //! [`Sequential::visit_params`]: crate::layers::Sequential::visit_params
@@ -109,127 +109,26 @@ impl Sgd {
     }
 }
 
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: i32,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates Adam with the given learning rate and the standard
-    /// `β₁ = 0.9, β₂ = 0.999, ε = 1e-8`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0`.
-    pub fn new(lr: f32) -> Self {
-        Adam::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates Adam with explicit betas (GANs often use `β₁ = 0.5`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0` and both betas lie in `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2), "betas out of [0,1)");
-        Adam { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0`.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    /// Snapshot of the Adam state: the step counter encoded as a `[1]`
-    /// tensor, then the first- and second-moment buffers in
-    /// [`Sequential::visit_params`] order.
-    pub fn export_state(&self) -> Vec<Tensor> {
-        let mut out = Vec::with_capacity(1 + self.m.len() + self.v.len());
-        out.push(Tensor::from_vec(&[1], vec![self.t as f32]));
-        out.extend(self.m.iter().chain(&self.v).cloned());
-        out
-    }
-
-    /// Restores a snapshot produced by [`Adam::export_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot layout is malformed (no step counter or an
-    /// odd number of moment buffers).
-    pub fn import_state(&mut self, mut state: Vec<Tensor>) {
-        assert!(!state.is_empty(), "adam state must start with the step counter");
-        let rest = state.split_off(1);
-        assert!(rest.len().is_multiple_of(2), "adam moment buffers must pair up");
-        self.t = state[0].as_slice()[0] as i32;
-        let v = rest.len() / 2;
-        let mut it = rest.into_iter();
-        self.m = it.by_ref().take(v).collect();
-        self.v = it.collect();
-    }
-
-    /// Applies one Adam update using the gradients accumulated in `net`.
-    pub fn step(&mut self, net: &mut Sequential) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        let mut idx = 0usize;
-        net.visit_params(&mut |p| {
-            if ms.len() == idx {
-                ms.push(Tensor::zeros(p.value.shape()));
-                vs.push(Tensor::zeros(p.value.shape()));
-            }
-            let m = &mut ms[idx];
-            let v = &mut vs[idx];
-            assert_eq!(m.shape(), p.value.shape(), "optimizer state mismatch");
-            guard::check_finite_slice("adam gradient", p.grad.as_slice());
-            // Single fused pass: moment updates, bias correction and the
-            // weight step share one loop with no temporary tensors.
-            for ((wi, &g), (mi, vi)) in p
-                .value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.as_slice())
-                .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice()))
-            {
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
-                let mhat = *mi / bc1;
-                let vhat = *vi / bc2;
-                *wi -= lr * mhat / (vhat.sqrt() + eps);
-            }
-            idx += 1;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::Linear;
-    use crate::loss::mse;
+    use crate::loss::sum_squared_error_acc_into;
     use crate::{init, Tensor};
 
-    /// Trains y = 2x₀ − x₁ + 0.5 on a single linear layer; both optimizers
+    /// Mean squared error and its gradient `2(pred − y)/n`, from the
+    /// trainer's summed-error kernel at scale `1/n`. Accumulating into
+    /// `-0.0` (the additive identity) leaves each element exactly
+    /// `2(pred − y)·(1/n)`, which equals `2(pred − y)/n` for the
+    /// power-of-two `n` used here.
+    fn mean_sq_error(pred: &Tensor, y: &Tensor) -> (f64, Tensor) {
+        let n = pred.len();
+        let mut grad = Tensor::filled(pred.shape(), -0.0);
+        let sum = sum_squared_error_acc_into(pred, y, 1.0 / n as f32, &mut grad);
+        (sum / n as f64, grad)
+    }
+
+    /// Trains y = 2x₀ − x₁ + 0.5 on a single linear layer; the optimizer
     /// must drive the loss down by orders of magnitude.
     fn fit_linear(step: &mut dyn FnMut(&mut Sequential)) -> f64 {
         let mut net = Sequential::new();
@@ -242,7 +141,7 @@ mod tests {
         let mut last = f64::INFINITY;
         for _ in 0..300 {
             let pred = net.forward(&x, true);
-            let (loss, grad) = mse(&pred, &y);
+            let (loss, grad) = mean_sq_error(&pred, &y);
             net.zero_grads();
             net.backward(&grad);
             step(&mut net);
@@ -265,13 +164,6 @@ mod tests {
         let mut heavy = Sgd::new(0.05, 0.9);
         let fast = fit_linear(&mut |net| heavy.step(net));
         assert!(fast < slow, "momentum {fast} vs plain {slow}");
-    }
-
-    #[test]
-    fn adam_fits_linear_regression() {
-        let mut opt = Adam::new(0.05);
-        let loss = fit_linear(&mut |net| opt.step(net));
-        assert!(loss < 1e-4, "adam stalled at {loss}");
     }
 
     #[test]
@@ -329,7 +221,7 @@ mod tests {
                 opt = opt2;
             }
             let pred = net.forward(&x, true);
-            let (_, grad) = mse(&pred, &y);
+            let (_, grad) = mean_sq_error(&pred, &y);
             net.zero_grads();
             net.backward(&grad);
             opt.step(&mut net);
@@ -346,34 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn adam_state_roundtrip_is_bit_identical() {
-        let run = |split: Option<usize>| -> Vec<Tensor> {
-            let mut net = Sequential::new();
-            net.push(Linear::new(2, 1, 7));
-            let mut opt = Adam::new(0.05);
-            let x = init::uniform(&[8, 2], -1.0, 1.0, 3);
-            let y = Tensor::filled(&[8, 1], 0.5);
-            for step in 0..9 {
-                if split == Some(step) {
-                    let state = opt.export_state();
-                    let mut opt2 = Adam::new(0.05);
-                    opt2.import_state(state);
-                    opt = opt2;
-                }
-                let pred = net.forward(&x, true);
-                let (_, grad) = mse(&pred, &y);
-                net.zero_grads();
-                net.backward(&grad);
-                opt.step(&mut net);
-            }
-            net.export_params()
-        };
-        assert_eq!(run(None), run(Some(4)));
-    }
-
-    #[test]
     fn lr_setter_roundtrip() {
-        let mut opt = Adam::new(0.01);
+        let mut opt = Sgd::new(0.01, 0.0);
         assert_eq!(opt.learning_rate(), 0.01);
         opt.set_learning_rate(0.001);
         assert_eq!(opt.learning_rate(), 0.001);

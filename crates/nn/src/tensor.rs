@@ -1,11 +1,5 @@
 //! Dense `f32` tensors with NCHW conventions.
 
-use crate::pool;
-
-/// Minimum element count before an element-wise op is split across the
-/// worker pool; below this the thread hand-off costs more than it saves.
-const PAR_ELEMWISE_MIN: usize = 1 << 16;
-
 /// A dense row-major tensor of up to four dimensions.
 ///
 /// Convolutional layers interpret 4-D tensors as `[N, C, H, W]`; linear
@@ -184,68 +178,6 @@ impl Tensor {
         }
     }
 
-    /// Element-wise map into a new tensor (parallel for large tensors).
-    pub fn map<F: Fn(f32) -> f32 + Sync>(&self, f: F) -> Tensor {
-        let mut data = self.data.clone();
-        par_unary(&mut data, |chunk| {
-            for v in chunk {
-                *v = f(*v);
-            }
-        });
-        Tensor { shape: self.shape.clone(), data }
-    }
-
-    /// `self + other`, element-wise (parallel for large tensors).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "tensor add shape mismatch");
-        let mut data = self.data.clone();
-        par_binary(&mut data, &other.data, |dst, src| {
-            for (a, &b) in dst.iter_mut().zip(src) {
-                *a += b;
-            }
-        });
-        Tensor { shape: self.shape.clone(), data }
-    }
-
-    /// `self - other`, element-wise (parallel for large tensors).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "tensor sub shape mismatch");
-        let mut data = self.data.clone();
-        par_binary(&mut data, &other.data, |dst, src| {
-            for (a, &b) in dst.iter_mut().zip(src) {
-                *a -= b;
-            }
-        });
-        Tensor { shape: self.shape.clone(), data }
-    }
-
-    /// `self * s`, element-wise.
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|v| v * s)
-    }
-
-    /// In-place accumulate `self += other * s` (parallel for large tensors).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled_assign(&mut self, other: &Tensor, s: f32) {
-        assert_eq!(self.shape, other.shape, "tensor accumulate shape mismatch");
-        par_binary(&mut self.data, &other.data, |dst, src| {
-            for (a, &b) in dst.iter_mut().zip(src) {
-                *a += b * s;
-            }
-        });
-    }
-
     /// Sum of elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -258,7 +190,12 @@ impl Tensor {
 
     /// Largest absolute element.
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
+        // A compare, not `f32::max`: under `-C target-cpu=native` (AVX-512)
+        // rustc 1.95 inlined an `f32::max` fold over a 3-element tensor into
+        // a two-lane path that skipped the third element unless a lane was
+        // NaN (`tests::arithmetic`). Same result for every input: `m` is
+        // never NaN.
+        self.data.iter().fold(0.0f32, |m, &v| if v.abs() > m { v.abs() } else { m })
     }
 
     /// Concatenates tensors along the channel axis (dim 1) into `self`,
@@ -321,48 +258,6 @@ fn check_shape(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Applies `f` to chunks of `dst`, splitting across the worker pool when the
-/// buffer is large. Chunk boundaries never affect results because `f` is
-/// element-wise.
-fn par_unary(dst: &mut [f32], f: impl Fn(&mut [f32]) + Sync) {
-    if par_threads(dst.len()) <= 1 {
-        f(dst);
-        return;
-    }
-    let total = dst.len();
-    let view = pool::DisjointMut::new(dst);
-    pool::run_chunks(total, |r| {
-        // SAFETY: run_chunks ranges partition 0..total, so each chunk's
-        // view is disjoint from every other chunk's.
-        f(unsafe { view.slice_mut(r) });
-    });
-}
-
-/// Applies `f` to corresponding chunks of `dst` and `src` (same length),
-/// splitting across the worker pool when the buffers are large.
-fn par_binary(dst: &mut [f32], src: &[f32], f: impl Fn(&mut [f32], &[f32]) + Sync) {
-    debug_assert_eq!(dst.len(), src.len());
-    if par_threads(dst.len()) <= 1 {
-        f(dst, src);
-        return;
-    }
-    let total = dst.len();
-    let view = pool::DisjointMut::new(dst);
-    pool::run_chunks(total, |r| {
-        // SAFETY: run_chunks ranges partition 0..total, so each chunk's
-        // dst view is disjoint from every other chunk's.
-        f(unsafe { view.slice_mut(r.clone()) }, &src[r]);
-    });
-}
-
-fn par_threads(len: usize) -> usize {
-    if len < PAR_ELEMWISE_MIN || pool::in_worker() {
-        1
-    } else {
-        pool::max_threads()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,16 +289,13 @@ mod tests {
     #[test]
     fn arithmetic() {
         let a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        let b = Tensor::from_vec(&[3], vec![0.5, 0.5, 0.5]);
-        assert_eq!(a.add(&b).as_slice(), &[1.5, 2.5, 3.5]);
-        assert_eq!(a.sub(&b).as_slice(), &[0.5, 1.5, 2.5]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
         let mut c = a.clone();
-        c.add_scaled_assign(&b, -2.0);
-        assert_eq!(c.as_slice(), &[0.0, 1.0, 2.0]);
+        c.scale_assign(2.0);
+        assert_eq!(c.as_slice(), &[2.0, 4.0, 6.0]);
         assert_eq!(a.sum(), 6.0);
         assert_eq!(a.mean(), 2.0);
-        assert_eq!(a.scale(-1.0).max_abs(), 3.0);
+        c.scale_assign(-0.5);
+        assert_eq!(c.max_abs(), 3.0);
     }
 
     #[test]

@@ -16,6 +16,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> ganopc-lint (workspace invariants)"
 cargo run --release -p ganopc-lint
 
+echo "==> benchmark compiles against the tree (ganbench/)"
+# ganbench drives the crates' public API from its own workspace, so a
+# removal that breaks it shows here. A build may prune ganbench/Cargo.lock,
+# which is the benchmark's file: it is put back whether or not the check
+# passes.
+lock_copy=$(mktemp)
+cp ganbench/Cargo.lock "$lock_copy"
+status=0
+cargo check -q --offline --manifest-path ganbench/Cargo.toml || status=$?
+cp "$lock_copy" ganbench/Cargo.lock
+rm -f "$lock_copy"
+if [ "$status" -ne 0 ]; then
+    echo "FAIL: ganbench does not compile against the tree"
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -65,9 +81,8 @@ want="1b739a8fea62448025a77bd1cd82460c 613eacfb115c25a8840d748410ab333b 6057ec71
 cargo build -q --release --bin ganopc
 pin_dir=$(mktemp -d)
 trap 'rm -rf "$pin_dir"' EXIT
-# A fresh kernel cache: the default one is keyed by optical config alone,
-# so kernels an older build derived there would stand in for the code
-# under test.
+# A fresh kernel cache, so the pinned runs derive their kernels with the
+# code under test and read no file another build or run left behind.
 export GANOPC_CACHE_DIR="$pin_dir/kernel-cache"
 for threads in 1 3 4; do
     run() {
