@@ -182,38 +182,18 @@ impl Fft1d {
         Ok(())
     }
 
-    /// The digit-reversal order the butterflies read their input in: after
-    /// [`Fft1d::permute_lanes`], row `i` holds input row `order()[i]`. A
-    /// caller that copies rows into the planes anyway can place them in this
-    /// order and skip the swap program.
+    /// The digit-reversal order the butterflies read their input in: the
+    /// batched lane transform reads input row `order()[i]` at row `i`, so a
+    /// caller that moves rows into the planes anyway places them in this
+    /// order, and no swap program runs.
     #[inline]
     pub(crate) fn order(&self) -> &[u32] {
         &self.order
     }
 
-    /// Applies the digit-reversal swap program to whole rows of split
-    /// real/imaginary planes: afterwards row `i` holds what row `order()[i]`
-    /// held. Lanes `lanes..stride` are never touched.
-    // lint: hot-path
-    pub(crate) fn permute_lanes(
-        &self,
-        re: &mut [f32],
-        im: &mut [f32],
-        stride: usize,
-        lanes: usize,
-    ) {
-        for &(i, j) in &self.swaps {
-            let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
-            for plane in [&mut *re, &mut *im] {
-                let (head, tail) = plane.split_at_mut(hi * stride);
-                head[lo * stride..][..lanes].swap_with_slice(&mut tail[..lanes]);
-            }
-        }
-    }
-
     /// Transforms `lanes` independent sequences at once, held in split
     /// real/imaginary planes whose rows are already in digit-reversed order
-    /// (see [`Fft1d::order`] and [`Fft1d::permute_lanes`]): element `r` of
+    /// (see [`Fft1d::order`]): element `r` of
     /// lane `l` is `(re[i * stride + l], im[i * stride + l])` where
     /// `order()[i] == r`. Both planes hold `len × stride` floats; lanes
     /// `lanes..stride` are never touched. The output is in natural order.
@@ -497,9 +477,8 @@ mod tests {
         }
     }
 
-    /// Both entries of the batched lane transform against one
-    /// [`Fft1d::transform`] per lane, bit for bit: natural rows through the
-    /// swap program, and rows copied in [`Fft1d::order`] with no swaps. The
+    /// The batched lane transform against one [`Fft1d::transform`] per
+    /// lane, bit for bit, with rows copied in [`Fft1d::order`]. The
     /// inverse's `1/len` is fused into its last stage, so the inverse cases
     /// check that too. Lanes past `lanes` must come out untouched.
     #[test]
@@ -517,18 +496,12 @@ mod tests {
                     block.iter().map(|c| (c.re, c.im)).unzip();
                 for dir in [Direction::Forward, Direction::Inverse] {
                     let (mut re, mut im) = (block_re.clone(), block_im.clone());
-                    plan.permute_lanes(&mut re, &mut im, stride, lanes);
-                    plan.transform_lanes(&mut re, &mut im, stride, lanes, dir);
-                    let swapped = (re, im);
-
-                    let (mut re, mut im) = (block_re.clone(), block_im.clone());
                     for (i, &r) in plan.order().iter().enumerate() {
                         let (dst, src) = (i * stride, r as usize * stride);
                         re[dst..][..lanes].copy_from_slice(&block_re[src..][..lanes]);
                         im[dst..][..lanes].copy_from_slice(&block_im[src..][..lanes]);
                     }
                     plan.transform_lanes(&mut re, &mut im, stride, lanes, dir);
-                    let copied = (re, im);
 
                     for l in 0..stride {
                         let mut lane: Vec<Complex> =
@@ -536,15 +509,13 @@ mod tests {
                         if l < lanes {
                             plan.transform(&mut lane, dir).unwrap();
                         }
-                        for (entry, (re, im)) in [("swapped", &swapped), ("copied", &copied)] {
-                            for (r, want) in lane.iter().enumerate() {
-                                let got = (re[r * stride + l], im[r * stride + l]);
-                                assert_eq!(
-                                    (got.0.to_bits(), got.1.to_bits()),
-                                    (want.re.to_bits(), want.im.to_bits()),
-                                    "{entry} n={n} lanes={lanes} stride={stride} {dir:?} at ({r},{l})"
-                                );
-                            }
+                        for (r, want) in lane.iter().enumerate() {
+                            let got = (re[r * stride + l], im[r * stride + l]);
+                            assert_eq!(
+                                (got.0.to_bits(), got.1.to_bits()),
+                                (want.re.to_bits(), want.im.to_bits()),
+                                "n={n} lanes={lanes} stride={stride} {dir:?} at ({r},{l})"
+                            );
                         }
                     }
                 }

@@ -19,8 +19,11 @@
 //!   Its pixel domain is a *tile* whose lanes are the image rows, its
 //!   spectral domain split re/im planes, and [`RealFft2d::forward_with`] /
 //!   [`RealFft2d::inverse_with`] let a caller fold its own work into the
-//!   moves that enter and leave them ([`TileEntry`], [`TileExit`]); it
-//!   carries the whole litho hot path;
+//!   moves that enter and leave them ([`TileEntry`], [`TileExit`]), or
+//!   finish an inverse in its own frame ([`RealFft2d::inverse_into`]); every
+//!   move between the layouts is one 8 × 8 register-block transpose that
+//!   places rows in the next pass's digit-reversed order. It carries the
+//!   whole litho hot path;
 //! * [`spectrum`] helpers — half-spectrum products, over [`Complex`] bins
 //!   and over split-plane rows, and the kernel spectra
 //!   ([`spectrum::KernelSpectrum`]) the convolution pipelines upstream run.

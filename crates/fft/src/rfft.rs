@@ -26,20 +26,29 @@
 //! column pass as one batch and hands the planes to its exit; the inverse
 //! runs the same steps backwards. [`RealFft2d::forward_with`] and
 //! [`RealFft2d::inverse_with`] are these bodies, with the entry and exit
-//! moves left to the caller. [`RealFft2d::forward`] enters by packing an
-//! image and exits by interleaving into [`Complex`] bins;
+//! moves left to the caller, and [`RealFft2d::inverse_into`] is the inverse
+//! body finishing in a caller's frame. [`RealFft2d::forward`] enters by
+//! packing an image and exits by interleaving into [`Complex`] bins;
 //! [`RealFft2d::inverse`] enters by splitting bins and exits by unpacking
-//! into an image. Every entry writes whole rows, so each places its rows in
-//! the digit-reversed order the following pass reads and that pass runs no
-//! swap program; the inverse's `1/n` factors ride on each pass's last
-//! butterfly stage. Each element goes through the same floating-point
-//! operations, in the same order, as transforming one row and one column at
-//! a time. The planes live in per-thread storage grown to the largest plan
-//! the thread has run, so a transform allocates nothing once its thread has
-//! run one at least this large.
+//! into an image.
+//!
+//! Every move between layouts writes whole rows, and each writes them at
+//! the digit-reversed positions the following pass reads, so no pass runs a
+//! swap program: the entries feed the first pass, and the transposes
+//! between the passes feed the second (the inverse's tangle reads and
+//! writes its bins through the same position map). The transposes, the
+//! pack and the unpack are one 8 × 8 register-block move (`transpose`),
+//! AVX shuffles where the build enables AVX and a scalar loop elsewhere.
+//! The inverse's `1/n` factors ride on each pass's last butterfly stage.
+//! Each element goes through the same floating-point operations, in the
+//! same order, as transforming one row and one column at a time. The
+//! planes live in per-thread storage grown to the largest plan the thread
+//! has run, so a transform allocates nothing once its thread has run one
+//! at least this large.
 
 use crate::{Complex, Direction, Fft1d, FftError};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// A planned real-input 2-D FFT producing/consuming the packed
 /// `h × (w/2+1)` half-spectrum.
@@ -69,8 +78,23 @@ pub struct RealFft2d {
     row_plan: Fft1d,
     /// Full-height plan for the column pass over the half-spectrum.
     col_plan: Fft1d,
+    /// The tile row the row pass reads sample pair (or bin) `j` from: the
+    /// inverse of `row_plan`'s digit-reversal order.
+    row_pos: Vec<u32>,
+    /// The column-plane row the column pass reads image row (or spectrum
+    /// row) `y` from: the inverse of `col_plan`'s order.
+    col_pos: Vec<u32>,
     /// Untangling twiddles `e^{-2πik/w}` for `k = 0 ..= w/2`.
     tw: Vec<Complex>,
+}
+
+/// Inverts a digit-reversal order: `pos[order[i]] = i`.
+fn positions(order: &[u32]) -> Vec<u32> {
+    let mut pos = vec![0; order.len()];
+    for (i, &r) in (0u32..).zip(order) {
+        pos[r as usize] = i;
+    }
+    pos
 }
 
 impl RealFft2d {
@@ -95,10 +119,20 @@ impl RealFft2d {
         let half = width / 2;
         let row_plan = Fft1d::new(half)?;
         let col_plan = Fft1d::new(height)?;
+        let (row_pos, col_pos) = (positions(row_plan.order()), positions(col_plan.order()));
         let tw = (0..=half)
             .map(|k| Complex::cis(-2.0 * std::f32::consts::PI * k as f32 / width as f32))
             .collect();
-        Ok(RealFft2d { height, width, half_width: half + 1, row_plan, col_plan, tw })
+        Ok(RealFft2d {
+            height,
+            width,
+            half_width: half + 1,
+            row_plan,
+            col_plan,
+            row_pos,
+            col_pos,
+            tw,
+        })
     }
 
     /// Grid height (number of rows).
@@ -221,33 +255,26 @@ impl RealFft2d {
     ) -> R {
         let (h, hw, m) = (self.height, self.half_width, self.width / 2);
         let ld = h + TILE_PAD;
-        self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
+        self.with_planes(|[frame, nyq_re, nyq_im, col_re, col_im]| {
             // Row pass: the entry writes tile row `i` with sample pair
             // `order[i]`, so every half-length row FFT runs as one batch with
-            // no swaps; then untangle the m+1 stored bins across lanes.
-            entry(TileEntry {
-                re: &mut tile_re[..m * ld],
-                im: &mut tile_im[..m * ld],
-                ld,
-                lanes: h,
-                order: self.row_plan.order(),
-            });
-            self.row_plan.transform_lanes(
-                &mut tile_re[..m * ld],
-                &mut tile_im[..m * ld],
-                ld,
-                h,
-                Direction::Forward,
-            );
-            self.untangle_lanes(tile_re, tile_im, ld);
+            // no swaps; then untangle the m+1 stored bins across lanes, bin m
+            // (Nyquist) into its own row.
+            entry(TileEntry { frame: &mut *frame, ld, lanes: h, plan: self });
+            let (re, im) = frame.split_at_mut(m * ld);
+            self.row_plan.transform_lanes(re, im, ld, h, Direction::Forward);
+            self.untangle_lanes(re, im, nyq_re, nyq_im, ld);
 
-            // Column pass: transpose so stored column kx is lane kx, then one
-            // batched full-height FFT over all w/2+1 lanes. A transpose that
-            // wrote rows in digit-reversed order measured slower than the
-            // plain one plus the swap program.
-            transpose(tile_re, ld, col_re, hw, hw, h);
-            transpose(tile_im, ld, col_im, hw, hw, h);
-            self.col_plan.permute_lanes(col_re, col_im, hw, hw);
+            // Column pass: transpose so stored column kx is lane kx, writing
+            // image row y as plane row `col_pos[y]`, the digit-reversed
+            // position the batched full-height FFT over all w/2+1 lanes reads.
+            for (tile, nyq, col) in [(&*re, &*nyq_re, &mut *col_re), (&*im, &*nyq_im, &mut *col_im)]
+            {
+                transpose(tile, col, m, h, |r| r * ld, |y| self.col_pos[y] as usize * hw);
+                for (&v, &p) in nyq.iter().zip(&self.col_pos) {
+                    col[p as usize * hw + m] = v;
+                }
+            }
             self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Forward);
             exit(col_re, col_im)
         })
@@ -266,12 +293,37 @@ impl RealFft2d {
     // lint: hot-path
     pub fn inverse_with<R>(
         &self,
+        entry: impl FnMut(usize, &mut [f32], &mut [f32]),
+        exit: impl FnOnce(TileExit<'_>) -> R,
+    ) -> R {
+        self.inverse_body(entry, None, exit)
+    }
+
+    /// [`RealFft2d::inverse_with`] finishing in `tile`, a caller's frame in
+    /// tile layout (see the module docs), instead of the working tile: the
+    /// row pass runs in `tile`, which then holds the image. The litho model
+    /// keeps its per-kernel fields this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tile` holds [`RealFft2d::real_len`] floats.
+    // lint: hot-path
+    pub fn inverse_into(&self, entry: impl FnMut(usize, &mut [f32], &mut [f32]), tile: &mut [f32]) {
+        assert_eq!(tile.len(), self.real_len(), "tile length mismatch");
+        self.inverse_body(entry, Some(tile), |_| ());
+    }
+
+    /// The inverse body: the column pass in the working column planes, then
+    /// the row pass in `tile`, or in the working tile when `tile` is `None`.
+    // lint: hot-path
+    fn inverse_body<R>(
+        &self,
         mut entry: impl FnMut(usize, &mut [f32], &mut [f32]),
+        tile: Option<&mut [f32]>,
         exit: impl FnOnce(TileExit<'_>) -> R,
     ) -> R {
         let (h, hw, m) = (self.height, self.half_width, self.width / 2);
-        let ld = h + TILE_PAD;
-        self.with_planes(|[tile_re, tile_im, col_re, col_im]| {
+        self.with_planes(|[frame, nyq_re, nyq_im, col_re, col_im]| {
             // Column pass first (reverse of forward): the entry writes plane
             // row `i` with spectrum row `order[i]`, so one batched inverse
             // FFT runs down every stored column with no swaps, its last stage
@@ -282,19 +334,29 @@ impl RealFft2d {
             }
             self.col_plan.transform_lanes(col_re, col_im, hw, hw, Direction::Inverse);
 
-            // Row pass: transpose so image row y is tile lane y, tangle the
-            // m+1 bins back into a half-length complex sequence across lanes,
-            // then one batched inverse FFT (1/m) whose input the tangle left
-            // in natural order, so it keeps its swap program. The two 1/2
-            // factors hidden in the tangle make 1/(h·m) the exact overall
-            // 1/(h·w) normalization.
-            transpose(col_re, hw, tile_re, ld, h, hw);
-            transpose(col_im, hw, tile_im, ld, h, hw);
-            self.tangle_lanes(tile_re, tile_im, ld);
-            let (re, im) = (&mut tile_re[..m * ld], &mut tile_im[..m * ld]);
-            self.row_plan.permute_lanes(re, im, ld, h);
+            // Row pass: transpose so image row y is tile lane y, bin kx
+            // landing on tile row `row_pos[kx]` and bin m on the Nyquist row;
+            // tangle the m+1 bins across lanes through the same positions,
+            // which leaves the half-length sequence in the digit-reversed
+            // order the batched inverse FFT (1/m) reads. The two 1/2 factors
+            // hidden in the tangle make 1/(h·m) the exact overall 1/(h·w)
+            // normalization.
+            let (frame, ld) = match tile {
+                Some(tile) => (tile, h),
+                None => (frame, h + TILE_PAD),
+            };
+            let (re, im) = frame.split_at_mut(m * ld);
+            for (col, tile, nyq) in
+                [(&*col_re, &mut *re, &mut *nyq_re), (&*col_im, &mut *im, &mut *nyq_im)]
+            {
+                transpose(col, tile, h, m, |y| y * hw, |kx| self.row_pos[kx] as usize * ld);
+                for (v, row) in nyq.iter_mut().zip(col.chunks_exact(hw)) {
+                    *v = row[m];
+                }
+            }
+            self.tangle_lanes(re, im, nyq_re, nyq_im, ld);
             self.row_plan.transform_lanes(re, im, ld, h, Direction::Inverse);
-            exit(TileExit { re, im, ld, lanes: h })
+            exit(TileExit { frame, ld, lanes: h })
         })
     }
 
@@ -309,35 +371,46 @@ impl RealFft2d {
     pub fn unpack(&self, tile: &[f32], image: &mut [f32]) {
         assert_eq!(tile.len(), self.real_len(), "tile length mismatch");
         assert_eq!(image.len(), self.real_len(), "image length mismatch");
-        let (re, im) = tile.split_at(tile.len() / 2);
-        unpack_rows(re, im, self.height, image, self.width);
+        unpack_rows(tile, self.height, image, self.width);
     }
 
     /// Runs `f` on this thread's working planes, sized for this plan: the
-    /// tile's real and imaginary planes, `(w/2+1) × (h + TILE_PAD)` floats
-    /// each, then the two column planes, `h × (w/2+1)` each.
-    fn with_planes<R>(&self, f: impl FnOnce([&mut [f32]; 4]) -> R) -> R {
-        let (tile, cols) = (self.half_width * (self.height + TILE_PAD), self.spectrum_len());
+    /// tile (its real plane's `w/2` rows of `h + TILE_PAD` floats, then its
+    /// imaginary plane's), the two planes' Nyquist rows, then the two column
+    /// planes, `h × (w/2+1)` each.
+    fn with_planes<R>(&self, f: impl FnOnce([&mut [f32]; 5]) -> R) -> R {
+        let ld = self.height + TILE_PAD;
+        let (frame, cols) = (self.width * ld, self.spectrum_len());
         PLANES.with(|cell| {
             let mut planes = cell.borrow_mut();
-            if planes.len() < 2 * (tile + cols) {
+            let len = frame + 2 * ld + 2 * cols;
+            if planes.len() < len {
                 // ALLOC: one-time growth of this thread's persistent working
                 // planes; steady-state transforms reuse them.
-                planes.resize(2 * (tile + cols), 0.0);
+                planes.resize(len, 0.0);
             }
-            let (tile_re, rest) = planes.split_at_mut(tile);
-            let (tile_im, rest) = rest.split_at_mut(tile);
+            let (frame, rest) = planes.split_at_mut(frame);
+            let (nyq_re, rest) = rest.split_at_mut(ld);
+            let (nyq_im, rest) = rest.split_at_mut(ld);
             let (col_re, rest) = rest.split_at_mut(cols);
-            f([tile_re, tile_im, col_re, &mut rest[..cols]])
+            f([frame, nyq_re, nyq_im, col_re, &mut rest[..cols]])
         })
     }
 
     /// Untangles the row FFTs across lanes: on entry tile row `k < m` holds
     /// bin `k` of every image row's half-length FFT `Z`; on exit tile rows
-    /// `0..=m` hold the real-input spectrum bins `X[0..=m]`. Each lane goes
-    /// through the arithmetic of untangling its row alone.
+    /// `0..m` hold the real-input spectrum bins `X[0..m]` and the Nyquist
+    /// rows `X[m]`. Each lane goes through the arithmetic of untangling its
+    /// row alone.
     // lint: hot-path
-    fn untangle_lanes(&self, re: &mut [f32], im: &mut [f32], ld: usize) {
+    fn untangle_lanes(
+        &self,
+        re: &mut [f32],
+        im: &mut [f32],
+        nyq_re: &mut [f32],
+        nyq_im: &mut [f32],
+        ld: usize,
+    ) {
         let (lanes, m) = (self.height, self.width / 2);
         let mut k = 1;
         while 2 * k < m {
@@ -351,39 +424,48 @@ impl RealFft2d {
                 *v = -*v;
             }
         }
-        let (r0, rm) = two_rows(re, 0, m, ld, lanes);
-        let (i0, im_) = two_rows(im, 0, m, ld, lanes);
-        untangle_edges(r0, i0, rm, im_);
+        untangle_edges(&mut re[..lanes], &mut im[..lanes], nyq_re, nyq_im);
     }
 
-    /// Tangles spectrum rows across lanes: on entry tile rows `0..=m` hold
-    /// bins `X[0..=m]` of every image row; on exit rows `0..m` hold the
-    /// half-length sequences whose inverse FFTs yield the packed real
-    /// samples. Each lane goes through the arithmetic of tangling its row
-    /// alone.
+    /// Tangles spectrum rows across lanes: on entry bin `k < m` of every
+    /// image row sits at tile row `row_pos[k]` and bin `m` in the Nyquist
+    /// rows; on exit tile row `row_pos[k]` holds element `k` of the
+    /// half-length sequence whose inverse FFT yields the packed real
+    /// samples, the order that FFT reads. Each lane goes through the
+    /// arithmetic of tangling its row alone.
     // lint: hot-path
-    fn tangle_lanes(&self, re: &mut [f32], im: &mut [f32], ld: usize) {
+    fn tangle_lanes(
+        &self,
+        re: &mut [f32],
+        im: &mut [f32],
+        nyq_re: &[f32],
+        nyq_im: &[f32],
+        ld: usize,
+    ) {
         let (lanes, m) = (self.height, self.width / 2);
-        let (r0, rm) = two_rows(re, 0, m, ld, lanes);
-        let (i0, im_) = two_rows(im, 0, m, ld, lanes);
-        tangle_edges(r0, i0, rm, im_);
+        let at = |k: usize| self.row_pos[k] as usize;
+        let a = at(0) * ld;
+        tangle_edges(&mut re[a..][..lanes], &mut im[a..][..lanes], nyq_re, nyq_im);
         let mut k = 1;
         while 2 * k < m {
-            let (rk, rmk) = two_rows(re, k, m - k, ld, lanes);
-            let (ik, imk) = two_rows(im, k, m - k, ld, lanes);
+            let (rk, rmk) = two_rows(re, at(k), at(m - k), ld, lanes);
+            let (ik, imk) = two_rows(im, at(k), at(m - k), ld, lanes);
             tangle_pair(self.tw[k].conj(), rk, ik, rmk, imk);
             k += 1;
         }
         if m >= 2 {
-            let a = m / 2 * ld;
+            let a = at(m / 2) * ld;
             tangle_middle(self.tw[m / 2].conj(), &mut re[a..][..lanes], &mut im[a..][..lanes]);
         }
     }
 }
 
-/// Extra lanes in each tile row. With a lane stride of exactly the image
-/// height, a power of two, the tile's rows map onto the same few L1 sets
-/// and the transposes into and out of the tile thrash.
+/// Extra lanes in each row of the working tile, whose rows then do not all
+/// map onto the same few L1 sets. With the block moves, 128 px transforms
+/// measured 8–14 % faster padded than with a stride of exactly the image
+/// height; at 64 px the two tied. A caller's frame in tile layout
+/// ([`RealFft2d::inverse_into`]) is not padded: the moves into it write
+/// whole rows in strips, which keeps them off the same sets.
 const TILE_PAD: usize = 8;
 
 thread_local! {
@@ -393,7 +475,8 @@ thread_local! {
     static PLANES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Rows `a < b` of a plane with row stride `ld`, `lanes` floats each.
+/// Distinct rows `a` and `b` of a plane with row stride `ld`, `lanes`
+/// floats each, returned in the order asked for.
 fn two_rows(
     plane: &mut [f32],
     a: usize,
@@ -401,8 +484,13 @@ fn two_rows(
     ld: usize,
     lanes: usize,
 ) -> (&mut [f32], &mut [f32]) {
-    let (head, tail) = plane.split_at_mut(b * ld);
-    (&mut head[a * ld..][..lanes], &mut tail[..lanes])
+    let (head, tail) = plane.split_at_mut(a.max(b) * ld);
+    let (lo, hi) = (&mut head[a.min(b) * ld..][..lanes], &mut tail[..lanes]);
+    if a < b {
+        (lo, hi)
+    } else {
+        (hi, lo)
+    }
 }
 
 // The lane loops below are free functions whose rows arrive as distinct
@@ -505,11 +593,12 @@ fn tangle_middle(twc: Complex, re: &mut [f32], im: &mut [f32]) {
 /// Fill it with [`TileEntry::pack`] or [`TileEntry::fill`].
 #[derive(Debug)]
 pub struct TileEntry<'a> {
-    re: &'a mut [f32],
-    im: &'a mut [f32],
+    /// The real plane's `w/2` rows of stride `ld`, then the imaginary
+    /// plane's.
+    frame: &'a mut [f32],
     ld: usize,
     lanes: usize,
-    order: &'a [u32],
+    plan: &'a RealFft2d,
 }
 
 impl TileEntry<'_> {
@@ -520,9 +609,9 @@ impl TileEntry<'_> {
     /// Panics unless `image` holds [`RealFft2d::real_len`] floats.
     // lint: hot-path
     pub fn pack(self, image: &[f32]) {
-        let w = 2 * self.order.len();
+        let w = self.plan.width;
         assert_eq!(image.len(), self.lanes * w, "image length mismatch");
-        pack_rows(image, w, self.re, self.im, self.ld, self.order);
+        pack_rows(image, w, self.frame, self.ld, &self.plan.row_pos);
     }
 
     /// Calls `fill(j, re, im)` once per sample pair `j`, in the row pass's
@@ -532,8 +621,9 @@ impl TileEntry<'_> {
     // lint: hot-path
     pub fn fill(self, mut fill: impl FnMut(usize, &mut [f32], &mut [f32])) {
         let (ld, lanes) = (self.ld, self.lanes);
-        let rows = self.re.chunks_exact_mut(ld).zip(self.im.chunks_exact_mut(ld));
-        for ((re, im), &j) in rows.zip(self.order) {
+        let (re, im) = self.frame.split_at_mut(self.frame.len() / 2);
+        let rows = re.chunks_exact_mut(ld).zip(im.chunks_exact_mut(ld));
+        for ((re, im), &j) in rows.zip(self.plan.row_plan.order()) {
             fill(j as usize, &mut re[..lanes], &mut im[..lanes]);
         }
     }
@@ -543,31 +633,12 @@ impl TileEntry<'_> {
 /// layout with rows in natural order.
 #[derive(Debug)]
 pub struct TileExit<'a> {
-    re: &'a [f32],
-    im: &'a [f32],
+    frame: &'a [f32],
     ld: usize,
     lanes: usize,
 }
 
 impl TileExit<'_> {
-    /// Copies the image into `tile`, a frame in tile layout (see the module
-    /// docs): the litho model keeps its per-kernel fields this way.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tile` holds [`RealFft2d::real_len`] floats.
-    // lint: hot-path
-    pub fn copy_to(&self, tile: &mut [f32]) {
-        let (ld, lanes) = (self.ld, self.lanes);
-        assert_eq!(tile.len(), 2 * self.re.len() / ld * lanes, "tile length mismatch");
-        let (dst_re, dst_im) = tile.split_at_mut(tile.len() / 2);
-        for (src, dst) in [(self.re, dst_re), (self.im, dst_im)] {
-            for (s, d) in src.chunks_exact(ld).zip(dst.chunks_exact_mut(lanes)) {
-                d.copy_from_slice(&s[..lanes]);
-            }
-        }
-    }
-
     /// Unpacks the image into a row-major real buffer.
     ///
     /// # Panics
@@ -575,59 +646,155 @@ impl TileExit<'_> {
     /// Panics unless `image` holds [`RealFft2d::real_len`] floats.
     // lint: hot-path
     pub fn unpack(&self, image: &mut [f32]) {
-        let w = 2 * self.re.len() / self.ld;
+        let w = self.frame.len() / self.ld;
         assert_eq!(image.len(), self.lanes * w, "image length mismatch");
-        unpack_rows(self.re, self.im, self.ld, image, w);
+        unpack_rows(self.frame, self.ld, image, w);
     }
 }
 
-/// Image rows the packing transposes move per block: the block's source
-/// rows stay in L1 while every tile row gets one contiguous run of lanes.
-const PACK_ROWS: usize = 16;
-
-/// Packs a real `h × w` image into split tile planes of row stride `ld`,
-/// transposed so image row `y` becomes lane `y`, with tile row `i` holding
-/// sample pair `order[i]`: sample pair `order[i]` of row `y` lands at
-/// `(re, im)[i * ld + y]`.
+/// Packs a real image `w` samples wide into a frame in tile layout with row
+/// stride `ld`, transposed so image row `y` becomes lane `y`: sample pair
+/// `j` of row `y` lands at lane `y` of row `pos[j]` of the real (even
+/// sample) and imaginary (odd sample) planes.
 // lint: hot-path
-fn pack_rows(real: &[f32], w: usize, re: &mut [f32], im: &mut [f32], ld: usize, order: &[u32]) {
-    for (block, rows) in real.chunks(PACK_ROWS * w).enumerate() {
-        let (y0, n) = (block * PACK_ROWS, rows.len() / w);
-        for (i, &j) in order.iter().enumerate() {
-            let j = j as usize;
-            let (re, im) = (&mut re[i * ld + y0..][..n], &mut im[i * ld + y0..][..n]);
-            for ((r, i), src) in re.iter_mut().zip(im.iter_mut()).zip(rows.chunks_exact(w)) {
-                (*r, *i) = (src[2 * j], src[2 * j + 1]);
+fn pack_rows(image: &[f32], w: usize, frame: &mut [f32], ld: usize, pos: &[u32]) {
+    let (plane, lanes) = (frame.len() / 2, image.len() / w);
+    transpose(image, frame, lanes, w, |y| y * w, |x| x % 2 * plane + pos[x / 2] as usize * ld);
+}
+
+/// Unpacks a frame in tile layout with row stride `ld` and rows in natural
+/// order into a row-major image `w` samples wide: lane `y` of row `j` of the
+/// real and imaginary planes becomes samples `(y, 2j)` and `(y, 2j + 1)`.
+// lint: hot-path
+fn unpack_rows(frame: &[f32], ld: usize, image: &mut [f32], w: usize) {
+    let (plane, lanes) = (frame.len() / 2, image.len() / w);
+    transpose(frame, image, w, lanes, |x| x % 2 * plane + x / 2 * ld, |y| y * w);
+}
+
+/// Side of the square blocks [`transpose`] moves through [`block8`].
+const BLOCK: usize = 8;
+
+/// Source columns (destination rows) per strip of [`transpose`]. A strip's
+/// destination rows stay in L1 while the move walks down the source, so a
+/// power-of-two row stride on either side cannot make it thrash. At 128 px,
+/// 16 measured faster than 8 and the same as 32.
+const STRIP: usize = 16;
+
+/// `dst[dst_row(c) + r] = src[src_row(r) + c]` for every `r < rows` and
+/// `c < cols`: the one transposing move behind both passes' layout changes
+/// and the tile's pack and unpack. `src_row` and `dst_row` give each row's
+/// offset, so a move can split or merge the tile's two planes and place
+/// rows in digit-reversed order as it goes. Whole 8 × 8 blocks go through
+/// [`block8`], and the remainders through [`transpose_scalar`].
+// lint: hot-path
+#[inline(always)]
+fn transpose(
+    src: &[f32],
+    dst: &mut [f32],
+    rows: usize,
+    cols: usize,
+    src_row: impl Fn(usize) -> usize,
+    dst_row: impl Fn(usize) -> usize,
+) {
+    let (rb, cb) = (rows - rows % BLOCK, cols - cols % BLOCK);
+    for strip in (0..cb).step_by(STRIP) {
+        for r0 in (0..rb).step_by(BLOCK) {
+            let s: [usize; BLOCK] = std::array::from_fn(|i| src_row(r0 + i));
+            for c0 in (strip..cb.min(strip + STRIP)).step_by(BLOCK) {
+                let d: [usize; BLOCK] = std::array::from_fn(|j| dst_row(c0 + j));
+                block8(src, &s, c0, dst, &d, r0);
             }
         }
     }
+    transpose_scalar(src, dst, 0..rb, cb..cols, &src_row, &dst_row);
+    transpose_scalar(src, dst, rb..rows, 0..cols, &src_row, &dst_row);
 }
 
-/// Unpacks split tile planes of row stride `ld` with rows in natural order:
-/// lane `y` of tile row `j` becomes sample pair `j` of image row `y`.
-// lint: hot-path
-fn unpack_rows(re: &[f32], im: &[f32], ld: usize, real: &mut [f32], w: usize) {
-    for (block, rows) in real.chunks_mut(PACK_ROWS * w).enumerate() {
-        let (y0, n) = (block * PACK_ROWS, rows.len() / w);
-        for j in 0..w / 2 {
-            let (re, im) = (&re[j * ld + y0..][..n], &im[j * ld + y0..][..n]);
-            for ((&r, &i), dst) in re.iter().zip(im).zip(rows.chunks_exact_mut(w)) {
-                (dst[2 * j], dst[2 * j + 1]) = (r, i);
-            }
+/// [`transpose`] over a range of rows and columns, one element at a time:
+/// the block remainders, and the reference [`block8`] is tested against.
+fn transpose_scalar(
+    src: &[f32],
+    dst: &mut [f32],
+    rows: Range<usize>,
+    cols: Range<usize>,
+    src_row: impl Fn(usize) -> usize,
+    dst_row: impl Fn(usize) -> usize,
+) {
+    for c in cols {
+        let d = dst_row(c);
+        for r in rows.clone() {
+            dst[d + r] = src[src_row(r) + c];
         }
     }
 }
 
-/// `dst[c * dst_ld + r] = src[r * src_ld + c]` for `r < rows`, `c < cols`,
-/// writing each destination row contiguously. The source is walked as
-/// exact rows so the read needs no bounds check per element.
+/// Moves one 8 × 8 block: row `i` is the 8 floats at `src[s[i] + c..]`,
+/// and its column `j` goes to the 8 floats at `dst[d[j] + r..]`. Unpacks and
+/// shuffles within 128-bit lanes, then swaps lane halves.
 // lint: hot-path
-fn transpose(src: &[f32], src_ld: usize, dst: &mut [f32], dst_ld: usize, rows: usize, cols: usize) {
-    for (c, d) in dst.chunks_mut(dst_ld).take(cols).enumerate() {
-        for (v, row) in d[..rows].iter_mut().zip(src.chunks_exact(src_ld)) {
-            *v = row[c];
-        }
+#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+#[inline(always)]
+fn block8(
+    src: &[f32],
+    s: &[usize; BLOCK],
+    c: usize,
+    dst: &mut [f32],
+    d: &[usize; BLOCK],
+    r: usize,
+) {
+    use std::arch::x86_64::{
+        _mm256_loadu_ps as load, _mm256_permute2f128_ps as lanes, _mm256_shuffle_ps as shuffle,
+        _mm256_storeu_ps as store, _mm256_unpackhi_ps as hi, _mm256_unpacklo_ps as lo,
+    };
+    let end = |offsets: &[usize; BLOCK], at: usize| {
+        offsets.iter().fold(0, |m: usize, &o| m.max(o)).saturating_add(at + BLOCK)
+    };
+    assert!(end(s, c) <= src.len() && end(d, r) <= dst.len(), "block out of bounds");
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    // SAFETY: the assert above bounds every row the block reads (8 floats
+    // from `s[i] + c`) by `src.len()` and every row it writes (8 floats from
+    // `d[j] + r`) by `dst.len()`; the build enables AVX (the `cfg` above).
+    unsafe {
+        let r0 = load(sp.add(s[0] + c));
+        let r1 = load(sp.add(s[1] + c));
+        let r2 = load(sp.add(s[2] + c));
+        let r3 = load(sp.add(s[3] + c));
+        let r4 = load(sp.add(s[4] + c));
+        let r5 = load(sp.add(s[5] + c));
+        let r6 = load(sp.add(s[6] + c));
+        let r7 = load(sp.add(s[7] + c));
+        // Row pairs interleaved: columns 0, 1, 4, 5 (`lo`) and 2, 3, 6, 7
+        // (`hi`) of rows 2p and 2p + 1.
+        let (t0, t1, t2, t3) = (lo(r0, r1), hi(r0, r1), lo(r2, r3), hi(r2, r3));
+        let (t4, t5, t6, t7) = (lo(r4, r5), hi(r4, r5), lo(r6, r7), hi(r6, r7));
+        // Columns j and j + 4 of rows 0–3 (`q0..q3`), then of rows 4–7.
+        let (q0, q1) = (shuffle::<0x44>(t0, t2), shuffle::<0xEE>(t0, t2));
+        let (q2, q3) = (shuffle::<0x44>(t1, t3), shuffle::<0xEE>(t1, t3));
+        let (q4, q5) = (shuffle::<0x44>(t4, t6), shuffle::<0xEE>(t4, t6));
+        let (q6, q7) = (shuffle::<0x44>(t5, t7), shuffle::<0xEE>(t5, t7));
+        store(dp.add(d[0] + r), lanes::<0x20>(q0, q4));
+        store(dp.add(d[1] + r), lanes::<0x20>(q1, q5));
+        store(dp.add(d[2] + r), lanes::<0x20>(q2, q6));
+        store(dp.add(d[3] + r), lanes::<0x20>(q3, q7));
+        store(dp.add(d[4] + r), lanes::<0x31>(q0, q4));
+        store(dp.add(d[5] + r), lanes::<0x31>(q1, q5));
+        store(dp.add(d[6] + r), lanes::<0x31>(q2, q6));
+        store(dp.add(d[7] + r), lanes::<0x31>(q3, q7));
     }
+}
+
+/// The portable [`block8`]: the same move, one element at a time.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+#[inline(always)]
+fn block8(
+    src: &[f32],
+    s: &[usize; BLOCK],
+    c: usize,
+    dst: &mut [f32],
+    d: &[usize; BLOCK],
+    r: usize,
+) {
+    transpose_scalar(src, dst, 0..BLOCK, 0..BLOCK, |i| s[i] + c, |j| d[j] + r);
 }
 
 #[cfg(test)]
@@ -734,6 +901,49 @@ mod tests {
             for (a, b) in out.iter().zip(&img) {
                 assert!((a - b).abs() < 1e-4, "{h}x{w}");
             }
+        }
+    }
+
+    /// The four block moves against [`transpose_scalar`] over the whole
+    /// range, bit for bit, on the shapes of the 2-D bit-identity test: every
+    /// written element matches and no other element is touched.
+    #[test]
+    fn block_moves_match_the_scalar_loop() {
+        fn check(
+            rows: usize,
+            cols: usize,
+            src_row: impl Fn(usize) -> usize,
+            dst_row: impl Fn(usize) -> usize,
+        ) {
+            let src_len = (0..rows).map(|r| src_row(r) + cols).max().unwrap();
+            let dst_len = (0..cols).map(|c| dst_row(c) + rows).max().unwrap();
+            let src: Vec<f32> = (0..src_len).map(|i| i as f32).collect();
+            let (mut got, mut want) = (vec![f32::NAN; dst_len], vec![f32::NAN; dst_len]);
+            transpose(&src, &mut got, rows, cols, &src_row, &dst_row);
+            transpose_scalar(&src, &mut want, 0..rows, 0..cols, &src_row, &dst_row);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+        }
+        let shapes = [
+            (1usize, 2usize),
+            (2, 16),
+            (4, 8),
+            (8, 8),
+            (16, 4),
+            (16, 32),
+            (64, 64),
+            (128, 16),
+            (128, 128),
+            (32, 256),
+        ];
+        for (h, w) in shapes {
+            let plan = RealFft2d::new(h, w).unwrap();
+            let (m, hw, ld) = (w / 2, plan.half_width(), h + TILE_PAD);
+            let (row_pos, col_pos) = (&plan.row_pos, &plan.col_pos);
+            check(h, w, |y| y * w, |x| x % 2 * m * ld + row_pos[x / 2] as usize * ld);
+            check(w, h, |x| x % 2 * m * ld + x / 2 * ld, |y| y * w);
+            check(m, h, |r| r * ld, |y| col_pos[y] as usize * hw);
+            check(h, m, |y| y * hw, |kx| row_pos[kx] as usize * h);
         }
     }
 

@@ -121,6 +121,69 @@ fn row_inverse(plan: &Fft1d, tw: &[Complex], row: &mut [Complex], dst: &mut [f32
     }
 }
 
+/// Asserts that [`RealFft2d`] matches a reference bit for bit: `forward`
+/// equals [`row_forward`] on every row followed by `Fft1d::transform` down
+/// every stored column, and `inverse` equals the column transforms followed
+/// by [`row_inverse`] on every row.
+fn assert_matches_reference(h: usize, w: usize, img: &[f32], spec: &[Complex]) {
+    let plan = RealFft2d::new(h, w).unwrap();
+    let row_plan = Fft1d::new(w / 2).unwrap();
+    let col_plan = Fft1d::new(h).unwrap();
+    let tw = untangle_twiddles(w);
+    let hw = plan.half_width();
+    let mut scratch = Vec::new();
+    let bits = |v: &[Complex]| -> Vec<(u32, u32)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    };
+
+    let mut got = vec![Complex::ZERO; plan.spectrum_len()];
+    plan.forward(img, &mut got, &mut scratch).unwrap();
+    let mut want = vec![Complex::ZERO; plan.spectrum_len()];
+    for (src, row) in img.chunks_exact(w).zip(want.chunks_exact_mut(hw)) {
+        row_forward(&row_plan, &tw, src, row);
+    }
+    transform_each_column(&col_plan, &mut want, hw, Direction::Forward);
+    assert_eq!(bits(&got), bits(&want), "forward {h}x{w}");
+
+    let mut got = vec![0.0f32; h * w];
+    plan.inverse(&mut spec.to_vec(), &mut got, &mut scratch).unwrap();
+    let mut half = spec.to_vec();
+    transform_each_column(&col_plan, &mut half, hw, Direction::Inverse);
+    let mut want = vec![0.0f32; h * w];
+    for (row, dst) in half.chunks_exact_mut(hw).zip(want.chunks_exact_mut(w)) {
+        row_inverse(&row_plan, &tw, row, dst);
+    }
+    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "inverse {h}x{w}");
+}
+
+/// The bit identity on fixed shapes that take every remainder of the
+/// transforms' 8 × 8 block moves: fewer than 8 lanes or rows, whole blocks
+/// only, and `w/2 + 1 ≡ 1 (mod 8)` stored bins.
+#[test]
+fn rfft_matches_reference_on_every_block_remainder() {
+    let shapes = [
+        (1usize, 2usize),
+        (2, 16),
+        (4, 8),
+        (8, 8),
+        (16, 4),
+        (16, 32),
+        (64, 64),
+        (128, 16),
+        (128, 128),
+        (32, 256),
+    ];
+    for (h, w) in shapes {
+        let img: Vec<f32> = (0..h * w).map(|i| (i * 37 % 101) as f32 / 25.0 - 2.0).collect();
+        let spec: Vec<Complex> = (0..h * (w / 2 + 1))
+            .map(|i| Complex::new((i as f32 * 0.37).sin() * 4.0, (i as f32 * 0.11).cos() * 4.0))
+            .collect();
+        assert_matches_reference(h, w, &img, &spec);
+    }
+}
+
 /// Naive O(N²) DFT in f64 — the reference implementation.
 fn naive_dft(input: &[Complex], dir: Direction) -> Vec<Complex> {
     let n = input.len();
@@ -290,43 +353,12 @@ proptest! {
     }
 
     /// The batched passes are bit-identical to transforming one row and one
-    /// column at a time: `forward` equals [`row_forward`] on every row
-    /// followed by `Fft1d::transform` down every stored column, and `inverse`
-    /// equals the column transforms followed by [`row_inverse`] on every row.
+    /// column at a time, on random shapes (see [`assert_matches_reference`]).
     #[test]
     fn rfft_column_pass_matches_per_column_fft1d(
         (h, w, img, spec) in sized_image_and_spectrum()
     ) {
-        let plan = RealFft2d::new(h, w).unwrap();
-        let row_plan = Fft1d::new(w / 2).unwrap();
-        let col_plan = Fft1d::new(h).unwrap();
-        let tw = untangle_twiddles(w);
-        let hw = plan.half_width();
-        let mut scratch = Vec::new();
-        let bits = |v: &[Complex]| -> Vec<(u32, u32)> {
-            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-        };
-
-        let mut got = vec![Complex::ZERO; plan.spectrum_len()];
-        plan.forward(&img, &mut got, &mut scratch).unwrap();
-        let mut want = vec![Complex::ZERO; plan.spectrum_len()];
-        for (src, row) in img.chunks_exact(w).zip(want.chunks_exact_mut(hw)) {
-            row_forward(&row_plan, &tw, src, row);
-        }
-        transform_each_column(&col_plan, &mut want, hw, Direction::Forward);
-        prop_assert_eq!(bits(&got), bits(&want), "forward {}x{}", h, w);
-
-        let mut got = vec![0.0f32; h * w];
-        plan.inverse(&mut spec.clone(), &mut got, &mut scratch).unwrap();
-        let mut half = spec;
-        transform_each_column(&col_plan, &mut half, hw, Direction::Inverse);
-        let mut want = vec![0.0f32; h * w];
-        for (row, dst) in half.chunks_exact_mut(hw).zip(want.chunks_exact_mut(w)) {
-            row_inverse(&row_plan, &tw, row, dst);
-        }
-        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(got, want, "inverse {}x{}", h, w);
+        assert_matches_reference(h, w, &img, &spec);
     }
 
     /// 2-D convolution theorem: spatial cyclic convolution equals

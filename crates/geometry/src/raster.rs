@@ -130,12 +130,17 @@ impl Raster {
 
     /// Largest sample.
     pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        // A compare, not `f32::max`: under `-C target-cpu=native` (AVX-512)
+        // rustc 1.95 inlined an `f32::max` fold over a 5-sample raster into a
+        // 4-lane path whose exit reused the flags of its NaN test and skipped
+        // the fifth sample (`tests::max_and_min_see_every_sample`). Like
+        // `f32::max`, the compare ignores NaN samples.
+        self.data.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m })
     }
 
-    /// Smallest sample.
+    /// Smallest sample (a compare, for the reason [`Raster::max`] gives).
     pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
+        self.data.iter().fold(f32::INFINITY, |m, &v| if v < m { v } else { m })
     }
 
     /// Squared L2 distance to another raster of the same shape
@@ -329,6 +334,21 @@ mod tests {
         assert_eq!(r.mean(), 0.5);
         assert_eq!(r.max(), 3.0);
         assert_eq!(r.min(), -2.0);
+    }
+
+    /// `max` and `min` see every sample of a raster whose length the
+    /// compiler knows, the last of five included.
+    #[test]
+    fn max_and_min_see_every_sample() {
+        for pos in 0..5 {
+            let mut v = vec![0.0f32; 5];
+            v[pos] = 4.0;
+            let r = Raster::from_vec(1, 5, std::hint::black_box(v.clone()));
+            assert_eq!(r.max(), 4.0, "max at {pos}");
+            v[pos] = -4.0;
+            let r = Raster::from_vec(1, 5, std::hint::black_box(v));
+            assert_eq!(r.min(), -4.0, "min at {pos}");
+        }
     }
 
     #[test]

@@ -74,6 +74,22 @@ fn add_lanes(acc: &mut [f32], v: &[f32]) {
     }
 }
 
+/// `Σ d²` in f64 over a residual frame in tile layout, in pixel order:
+/// pixel `(y, 2j)` is lane `y` of row `j` of the real plane, and
+/// `(y, 2j + 1)` the same place in the imaginary plane.
+// lint: hot-path
+fn pixel_order_error(resid: &[f32], h: usize) -> f64 {
+    let (d_even, d_odd) = resid.split_at(resid.len() / 2);
+    let mut error = 0.0f64;
+    for y in 0..h {
+        for (&a, &b) in d_even[y..].iter().step_by(h).zip(d_odd[y..].iter().step_by(h)) {
+            error += (a as f64) * (a as f64);
+            error += (b as f64) * (b as f64);
+        }
+    }
+    error
+}
+
 /// A planned lithography simulator for one frame size.
 ///
 /// Holds the SOCS kernel stack embedded as frame-sized packed half-spectra,
@@ -358,7 +374,7 @@ impl LithoModel {
     /// Per-kernel convolved fields `A_k = M ⊗ h_k` from the mask's
     /// half-spectrum, split into real and imaginary parts `(p_k, q_k)`: each
     /// is one inverse transform entered by the spectral product `M̂ ⊙ R_k`
-    /// (or `M̂ ⊙ I_k`) and left by copying the tile into the slot. Kernel
+    /// (or `M̂ ⊙ I_k`) whose row pass runs in the slot's own field. Kernel
     /// indices fan out over the shared worker pool (capped by
     /// `GANOPC_THREADS`) through the allocation-free [`pool::run_chunks`]
     /// path; slot `k` receives kernel `k`'s components, so downstream
@@ -377,11 +393,11 @@ impl LithoModel {
                     let Some(comp) = comp else { continue };
                     // ALLOC: one-time growth of this slot's persistent field.
                     field.resize(n, 0.0);
-                    self.rfft.inverse_with(
+                    self.rfft.inverse_into(
                         |ky, re, im| {
                             spectrum::mul_split((re, im), row(mask, ky, hw), row(comp, ky, hw));
                         },
-                        |tile| tile.copy_to(field),
+                        field,
                     );
                 }
             }
@@ -568,8 +584,8 @@ impl LithoModel {
             // tile-layout frame: row r holds image column
             // x = 2·(r mod w/2) + r div (w/2), one lane per image row. The
             // sweep overwrites each pixel's intensity with its residual
-            // `d = Z − Z_t`; the error `Σ d²` is then summed in f64 on this
-            // thread in pixel order, so its bits do not depend on the split.
+            // `d = Z − Z_t`; the error `Σ d²` is summed below by one job, in
+            // f64 and in pixel order, so its bits do not depend on the split.
             let alpha = self.sigmoid_alpha;
             let th = self.threshold;
             let chain = 2.0 * alpha * dose;
@@ -595,16 +611,6 @@ impl LithoModel {
                     }
                 }
             });
-            // Pixel (y, 2j) is lane y of row j of the real plane, and
-            // (y, 2j + 1) the same place in the imaginary plane.
-            let (d_even, d_odd) = resid.split_at(m * h);
-            let mut error = 0.0f64;
-            for y in 0..h {
-                for (&a, &b) in d_even[y..].iter().step_by(h).zip(d_odd[y..].iter().step_by(h)) {
-                    error += (a as f64) * (a as f64);
-                    error += (b as f64) * (b as f64);
-                }
-            }
 
             // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
             // A_k = p + i·q and H_k = R + i·I (half-spectra of the kernel's real
@@ -616,16 +622,26 @@ impl LithoModel {
             // g ⊙ p straight into the tile and left by forming the weighted
             // product from the column planes into the kernel's slot:
             // `mul_conj`, then `mul_conj_add` for a second component, with the
-            // 2w scale on the last. Kernel indices fan out over the pool; the
-            // sum below fans out over spectrum rows, and every bin adds the
+            // 2w scale on the last. Kernel indices fan out over the pool, as
+            // jobs 1.. of one dispatch whose job 0 sums the error; the sum
+            // below fans out over spectrum rows, and every bin adds the
             // kernels in kernel order, so the gradient bits do not depend on
             // how many workers ran.
             let (g_even, g_odd) = g.split_at(m * h);
+            let resid = &resid[..];
+            let mut error = 0.0f64;
+            let error_slot = pool::DisjointMut::new(std::slice::from_mut(&mut error));
             let slots = pool::DisjointMut::new(&mut kernels[..]);
-            pool::run_chunks(self.spectra.len(), |kernels| {
-                for ki in kernels {
-                    // SAFETY: run_chunks kernel ranges partition the slot list,
-                    // so slot ki is owned by exactly this chunk.
+            pool::run_chunks(1 + self.spectra.len(), |jobs| {
+                for job in jobs {
+                    let Some(ki) = job.checked_sub(1) else {
+                        // SAFETY: only job 0 writes the error, and run_chunks
+                        // runs each job exactly once.
+                        *unsafe { error_slot.index_mut(0) } = pixel_order_error(resid, h);
+                        continue;
+                    };
+                    // SAFETY: run_chunks job ranges partition the jobs, so
+                    // slot ki is owned by exactly this chunk.
                     let slot = unsafe { slots.index_mut(ki) };
                     let comps = self.components(ki);
                     let Some(last) = comps.iter().rposition(Option::is_some) else { continue };

@@ -41,6 +41,14 @@ GANOPC_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -q --release -p ganopc-fft (bit-identity tests on the vectorized release build)"
 cargo test -q --release -p ganopc-fft
 
+echo "==> cargo test -q --release -p ganopc-fft on a portable build (target-cpu=x86-64: no AVX, so the scalar block move runs)"
+# Its own target directory, so this build neither evicts nor reuses the
+# native one.
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --release -p ganopc-fft --target-dir target/portable
+
+echo "==> cargo test -q --release -p ganopc-geometry --lib (raster folds on the vectorized release build)"
+cargo test -q --release -p ganopc-geometry --lib
+
 echo "==> cargo test -q --release -p ganopc-nn (bit-exact GEMM chain and BatchNorm tests on the vectorized release build)"
 cargo test -q --release -p ganopc-nn
 
