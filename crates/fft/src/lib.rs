@@ -25,36 +25,43 @@
 //!   places rows in the next pass's digit-reversed order. It carries the
 //!   whole litho hot path;
 //! * [`spectrum`] helpers — half-spectrum products, over [`Complex`] bins
-//!   and over split-plane rows, and the kernel spectra
-//!   ([`spectrum::KernelSpectrum`]) the convolution pipelines upstream run.
+//!   and over split-plane rows, which the convolution pipelines upstream
+//!   run against kernel spectra they keep themselves.
 //!
 //! # Example
 //!
-//! A cyclic convolution with a centered kernel, the sequence the litho
-//! model runs per SOCS kernel: a forward transform into split planes, then
-//! an inverse transform whose entry forms the spectral product row by row
-//! and whose exit unpacks the image.
+//! A cyclic convolution with a centered real kernel, the sequence the litho
+//! model runs per stored kernel component: the kernel's spectrum is the
+//! forward transform of a frame holding its center tap at the origin; the
+//! mask's is a forward transform into split planes; then an inverse
+//! transform whose entry forms the spectral product row by row and whose
+//! exit unpacks the image.
 //!
 //! ```
-//! use ganopc_fft::spectrum::{mul_split, KernelSpectrum};
-//! use ganopc_fft::{Complex, RealFft2d};
+//! use ganopc_fft::spectrum::mul_split;
+//! use ganopc_fft::RealFft2d;
 //!
 //! # fn main() -> Result<(), ganopc_fft::FftError> {
 //! let plan = RealFft2d::new(8, 8)?;
-//! let mut taps = vec![Complex::ZERO; 9];
-//! taps[4] = Complex::from_real(2.0); // center tap of a 3×3 kernel
-//! let kernel = KernelSpectrum::new(&taps, 3, 8, 8)?;
-//! let (k_re, k_im) = kernel.re_spectrum().unwrap();
+//! let n = plan.spectrum_len();
+//! // Forward transform of a real 8×8 field into split planes.
+//! let split_spectrum = |field: &[f32]| {
+//!     let (mut s_re, mut s_im) = (vec![0.0; n], vec![0.0; n]);
+//!     plan.forward_with(
+//!         |tile| tile.pack(field),
+//!         |re, im| {
+//!             s_re.copy_from_slice(re);
+//!             s_im.copy_from_slice(im);
+//!         },
+//!     );
+//!     (s_re, s_im)
+//! };
+//! let mut frame = vec![0.0f32; 64];
+//! frame[0] = 2.0; // a 1×1 kernel: its center tap at the origin
+//! let (k_re, k_im) = split_spectrum(&frame);
 //!
 //! let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).sin()).collect();
-//! let (mut m_re, mut m_im) = (vec![0.0; plan.spectrum_len()], vec![0.0; plan.spectrum_len()]);
-//! plan.forward_with(
-//!     |tile| tile.pack(&field),
-//!     |re, im| {
-//!         m_re.copy_from_slice(re);
-//!         m_im.copy_from_slice(im);
-//!     },
-//! );
+//! let (m_re, m_im) = split_spectrum(&field);
 //! // Spectrum row `ky` of a split plane.
 //! let hw = plan.half_width();
 //! fn row_of(plane: &[f32], ky: usize, hw: usize) -> &[f32] {
@@ -64,7 +71,7 @@
 //! plan.inverse_with(
 //!     |ky, re, im| {
 //!         let mask = (row_of(&m_re, ky, hw), row_of(&m_im, ky, hw));
-//!         mul_split((re, im), mask, (row_of(k_re, ky, hw), row_of(k_im, ky, hw)));
+//!         mul_split((re, im), mask, (row_of(&k_re, ky, hw), row_of(&k_im, ky, hw)));
 //!     },
 //!     |tile| tile.unpack(&mut out),
 //! );

@@ -1,4 +1,4 @@
-//! Frequency-domain helpers shared by the lithography and ILT pipelines.
+//! Frequency-domain products shared by the lithography and ILT pipelines.
 //!
 //! The convolution convention used across the workspace is *cyclic*
 //! convolution on the full clip raster. Optical kernels have compact support
@@ -6,26 +6,25 @@
 //! so cyclic wrap-around never influences printed geometry — this mirrors how
 //! the ICCAD-2013 kit applies its kernels.
 //!
-//! Kernel spectra are stored in the packed `h × (w/2+1)` half-spectrum form
-//! of [`RealFft2d`], as split real/imaginary planes: a complex kernel
-//! `h = h_re + i·h_im` is split into its two real components, each with a
-//! Hermitian spectrum, so every convolution against a real mask runs
-//! entirely through the real-FFT engine. Components that vanish (at nominal
-//! focus most SOCS kernels are near-pure real or near-pure imaginary) are
-//! dropped, halving both storage and work.
+//! Operands are packed `h × (w/2+1)` half-spectra of
+//! [`RealFft2d`](crate::RealFft2d). A kernel applied to a real mask is a
+//! real frame with its center tap at the origin, so its spectrum is
+//! Hermitian and the whole convolution runs through the real-FFT engine:
+//! `ganopc-litho` splits each complex SOCS kernel into its real and
+//! imaginary parts and keeps one such spectrum per part that does not
+//! vanish.
 //!
 //! The products come in two forms with the same per-bin arithmetic: over
-//! [`Complex`] bins (`mul_into`, `mul_conj_into`, `mul_conj_add_into`) and
-//! over one row of split planes (`mul_split`, `mul_conj_split`,
-//! `mul_conj_add_split`), the form the transforms' entry and exit moves
-//! use.
+//! [`Complex`] bins (`mul_into`, `mul_conj_into`) and over one row of split
+//! planes (`mul_split`, `mul_conj_split`), the form the transforms' entry
+//! and exit moves use.
 
-use crate::{Complex, FftError, RealFft2d};
+use crate::Complex;
 
 /// Element-wise product into a separate output: `out[i] = a[i] * b[i]`.
 ///
-/// The allocation-free form used by the litho hot path, where `a` is a
-/// shared mask spectrum that must survive for the next kernel.
+/// The interleaved form of [`mul_split`], which the litho hot path runs;
+/// the reference pipelines in the tests use this one.
 ///
 /// # Panics
 ///
@@ -48,22 +47,6 @@ pub fn mul_conj_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
     assert_eq!(a.len(), b.len(), "spectrum length mismatch");
     for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
         *o = *x * y.conj();
-    }
-}
-
-/// Conjugated product accumulated into `out`: `out[i] += a[i] * conj(b[i])`.
-///
-/// With [`mul_conj_into`] this builds the Eq. (14) gradient spectrum
-/// `W = P ⊙ conj(R) + Q ⊙ conj(I)` in a single pass per kernel component.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_conj_add_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
-    assert_eq!(out.len(), a.len(), "spectrum length mismatch");
-    assert_eq!(a.len(), b.len(), "spectrum length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = o.mul_add(*x, y.conj());
     }
 }
 
@@ -109,142 +92,10 @@ pub fn mul_conj_split(out: SplitMut<'_>, a: Split<'_>, b: Split<'_>, s: f32) {
     }
 }
 
-/// [`mul_conj_add_into`] over one row of split planes, then a scale:
-/// `out = (out + a ⊙ conj(b)) · s`, bin by bin.
-///
-/// # Panics
-///
-/// Panics if an operand row is shorter than `out`.
-// lint: hot-path
-pub fn mul_conj_add_split(out: SplitMut<'_>, a: Split<'_>, b: Split<'_>, s: f32) {
-    let n = out.0.len();
-    let (or, oi) = (out.0, &mut out.1[..n]);
-    let (ar, ai, br, bi) = (&a.0[..n], &a.1[..n], &b.0[..n], &b.1[..n]);
-    let bins = or.iter_mut().zip(oi).zip(ar).zip(ai).zip(br).zip(bi);
-    for (((((or, oi), &ar), &ai), &br), &bi) in bins {
-        let z = Complex::new(*or, *oi)
-            .mul_add(Complex::new(ar, ai), Complex::new(br, bi).conj())
-            .scale(s);
-        (*or, *oi) = (z.re, z.im);
-    }
-}
-
-/// Embeds a small centered kernel into a `height × width` frame so that the
-/// kernel origin (its center tap) lands at index `(0, 0)` with cyclic
-/// wrap-around — the layout required for FFT convolution to act as a
-/// *centered* spatial filter.
-///
-/// `kernel` is row-major `ksize × ksize` and `ksize` must be odd and no
-/// larger than either frame dimension.
-///
-/// # Panics
-///
-/// Panics if `kernel.len() != ksize * ksize`, if `ksize` is even, or if the
-/// kernel does not fit in the frame.
-fn embed_centered_kernel(
-    kernel: &[Complex],
-    ksize: usize,
-    height: usize,
-    width: usize,
-) -> Vec<Complex> {
-    assert_eq!(kernel.len(), ksize * ksize, "kernel buffer size mismatch");
-    assert!(ksize % 2 == 1, "kernel size must be odd");
-    assert!(ksize <= height && ksize <= width, "kernel larger than frame");
-    let half = ksize / 2;
-    let mut frame = vec![Complex::ZERO; height * width];
-    for ky in 0..ksize {
-        for kx in 0..ksize {
-            // Tap offset relative to the kernel center, wrapped cyclically.
-            let dy = (ky + height - half) % height;
-            let dx = (kx + width - half) % width;
-            frame[dy * width + dx] = kernel[ky * ksize + kx];
-        }
-    }
-    frame
-}
-
-/// A component's magnitude must clear this fraction of the kernel's overall
-/// peak to be stored; below it the component is f64→f32 rounding residue of
-/// an analytically-zero part (the eigenvector flip parity at nominal focus)
-/// and is dropped outright.
-const COMPONENT_DROP_RATIO: f32 = 1e-6;
-
-/// Precomputed half-spectra of a centered (possibly complex) kernel, ready
-/// for repeated real-FFT convolutions against same-sized real fields.
-///
-/// The kernel is split as `h = h_re + i·h_im`; each real component is stored
-/// as its packed Hermitian half-spectrum in split planes (`None` when the
-/// component vanishes). For a real mask `M`, the convolved field is
-/// `M ⊗ h = (M ⊗ h_re) + i·(M ⊗ h_im)`, two c2r inverse transforms — the
-/// same FLOP count as one full complex inverse but with half the spectral
-/// traffic, and half of everything when a component is absent.
-#[derive(Debug, Clone)]
-pub struct KernelSpectrum {
-    /// Each component's real plane followed by its imaginary plane.
-    re: Option<Vec<f32>>,
-    im: Option<Vec<f32>>,
-}
-
-impl KernelSpectrum {
-    /// Builds the half-spectra of a centered `ksize × ksize` kernel embedded
-    /// in a `height × width` frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the frame dimensions are not powers of two (or
-    /// `width < 2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel.len() != ksize * ksize`, if `ksize` is even, or if
-    /// the kernel does not fit in the frame.
-    pub fn new(
-        kernel: &[Complex],
-        ksize: usize,
-        height: usize,
-        width: usize,
-    ) -> Result<Self, FftError> {
-        let plan = RealFft2d::new(height, width)?;
-        let frame = embed_centered_kernel(kernel, ksize, height, width);
-        let peak = frame.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0f32, f32::max);
-        let cutoff = peak * COMPONENT_DROP_RATIO;
-        let component = |extract: fn(&Complex) -> f32| -> Option<Vec<f32>> {
-            let field: Vec<f32> = frame.iter().map(extract).collect();
-            if field.iter().all(|v| v.abs() <= cutoff) {
-                return None;
-            }
-            let mut planes = vec![0.0f32; 2 * plan.spectrum_len()];
-            let (dst_re, dst_im) = planes.split_at_mut(plan.spectrum_len());
-            plan.forward_with(
-                |tile| tile.pack(&field),
-                |re, im| {
-                    dst_re.copy_from_slice(re);
-                    dst_im.copy_from_slice(im);
-                },
-            );
-            Some(planes)
-        };
-        Ok(KernelSpectrum { re: component(|c| c.re), im: component(|c| c.im) })
-    }
-
-    /// Split-plane half-spectrum `(real parts, imaginary parts)` of the
-    /// kernel's real component, if nonzero.
-    #[inline]
-    pub fn re_spectrum(&self) -> Option<Split<'_>> {
-        self.re.as_deref().map(|p| p.split_at(p.len() / 2))
-    }
-
-    /// Split-plane half-spectrum `(real parts, imaginary parts)` of the
-    /// kernel's imaginary component, if nonzero.
-    #[inline]
-    pub fn im_spectrum(&self) -> Option<Split<'_>> {
-        self.im.as_deref().map(|p| p.split_at(p.len() / 2))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RealFft2d;
 
     /// Direct O(N²·K²) cyclic convolution reference.
     fn naive_cyclic_convolve(
@@ -273,17 +124,21 @@ mod tests {
         out
     }
 
-    /// Filters a real field with one kernel component the way the litho
-    /// model does: forward transform into split planes, then the inverse
-    /// entered by the spectral product (`product` is [`mul_split`] for
-    /// convolution, [`mul_conj_split`] at unit scale for correlation) and
-    /// left by unpacking.
-    fn filter(
-        plan: &RealFft2d,
-        field: &[f32],
-        component: Split<'_>,
-        product: fn(SplitMut<'_>, Split<'_>, Split<'_>),
-    ) -> Vec<f32> {
+    /// The split-plane half-spectrum of a real `ksize × ksize` kernel,
+    /// embedded in an `h × w` frame with its center tap at the origin.
+    fn kernel_spectrum(plan: &RealFft2d, kernel: &[f32], ksize: usize) -> (Vec<f32>, Vec<f32>) {
+        let (h, w, half) = (plan.height(), plan.width(), ksize / 2);
+        let mut frame = vec![0.0f32; h * w];
+        for ky in 0..ksize {
+            for kx in 0..ksize {
+                frame[(ky + h - half) % h * w + (kx + w - half) % w] = kernel[ky * ksize + kx];
+            }
+        }
+        split_spectrum(plan, &frame)
+    }
+
+    /// The forward transform of a real field, as split planes.
+    fn split_spectrum(plan: &RealFft2d, field: &[f32]) -> (Vec<f32>, Vec<f32>) {
         let n = plan.spectrum_len();
         let (mut spec_re, mut spec_im) = (vec![0.0f32; n], vec![0.0f32; n]);
         plan.forward_with(
@@ -293,14 +148,29 @@ mod tests {
                 spec_im.copy_from_slice(im);
             },
         );
+        (spec_re, spec_im)
+    }
+
+    /// Filters a real field with one kernel spectrum the way the litho
+    /// model does: forward transform into split planes, then the inverse
+    /// entered by the spectral product (`product` is [`mul_split`] for
+    /// convolution, [`mul_conj_split`] at unit scale for correlation) and
+    /// left by unpacking.
+    fn filter(
+        plan: &RealFft2d,
+        field: &[f32],
+        (k_re, k_im): &(Vec<f32>, Vec<f32>),
+        product: fn(SplitMut<'_>, Split<'_>, Split<'_>),
+    ) -> Vec<f32> {
+        let (spec_re, spec_im) = split_spectrum(plan, field);
         let hw = plan.half_width();
-        fn row<'a>((re, im): Split<'a>, ky: usize, hw: usize) -> Split<'a> {
+        fn row<'a>(re: &'a [f32], im: &'a [f32], ky: usize, hw: usize) -> Split<'a> {
             (&re[ky * hw..][..hw], &im[ky * hw..][..hw])
         }
         let mut out = vec![0.0f32; plan.real_len()];
         plan.inverse_with(
             |ky, re, im| {
-                product((re, im), row((&spec_re, &spec_im), ky, hw), row(component, ky, hw))
+                product((re, im), row(&spec_re, &spec_im, ky, hw), row(k_re, k_im, ky, hw))
             },
             |tile| tile.unpack(&mut out),
         );
@@ -314,16 +184,11 @@ mod tests {
     #[test]
     fn identity_kernel_is_noop() {
         let (h, w) = (8, 8);
-        let kernel = {
-            let mut k = vec![Complex::ZERO; 9];
-            k[4] = Complex::ONE; // center tap of a 3x3 kernel
-            k
-        };
-        let spec = KernelSpectrum::new(&kernel, 3, h, w).unwrap();
-        assert!(spec.im_spectrum().is_none(), "real kernel must drop its imaginary half");
+        let mut kernel = vec![0.0f32; 9];
+        kernel[4] = 1.0; // center tap of a 3x3 kernel
         let plan = RealFft2d::new(h, w).unwrap();
         let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.2).sin()).collect();
-        let out = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_split);
+        let out = filter(&plan, &field, &kernel_spectrum(&plan, &kernel, 3), mul_split);
         for (o, f) in out.iter().zip(&field) {
             assert!((o - f).abs() < 1e-4);
         }
@@ -337,10 +202,13 @@ mod tests {
             .map(|i| Complex::new((i as f32 * 0.31).sin(), (i as f32 * 0.17).cos() * 0.2))
             .collect();
         let field: Vec<f32> = (0..h * w).map(|i| ((i * 5 % 11) as f32) / 11.0).collect();
-        let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
         let plan = RealFft2d::new(h, w).unwrap();
-        let re = filter(&plan, &field, spec.re_spectrum().unwrap(), mul_split);
-        let im = filter(&plan, &field, spec.im_spectrum().unwrap(), mul_split);
+        let part = |f: fn(&Complex) -> f32| -> (Vec<f32>, Vec<f32>) {
+            let taps: Vec<f32> = kernel.iter().map(f).collect();
+            kernel_spectrum(&plan, &taps, ksize)
+        };
+        let re = filter(&plan, &field, &part(|c| c.re), mul_split);
+        let im = filter(&plan, &field, &part(|c| c.im), mul_split);
         let slow = naive_cyclic_convolve(&field, h, w, &kernel, ksize);
         for ((a_re, a_im), b) in re.iter().zip(&im).zip(&slow) {
             assert!((a_re - b.re).abs() < 1e-3, "{a_re}+{a_im}i vs {b}");
@@ -353,16 +221,15 @@ mod tests {
         // Correlation with kernel k == convolution with conj + spatial flip;
         // verify on an asymmetric real kernel via an impulse response.
         let (h, w) = (8, 8);
-        let mut kernel = vec![Complex::ZERO; 9];
-        kernel[0] = Complex::from_real(1.0); // top-left tap of a 3x3 kernel
-        let spec = KernelSpectrum::new(&kernel, 3, h, w).unwrap();
+        let mut kernel = vec![0.0f32; 9];
+        kernel[0] = 1.0; // top-left tap of a 3x3 kernel
         let plan = RealFft2d::new(h, w).unwrap();
         let mut field = vec![0.0f32; h * w];
         field[3 * w + 3] = 1.0;
 
-        let re = spec.re_spectrum().unwrap();
-        let conv = filter(&plan, &field, re, mul_split);
-        let corr = filter(&plan, &field, re, correlate);
+        let spectrum = kernel_spectrum(&plan, &kernel, 3);
+        let conv = filter(&plan, &field, &spectrum, mul_split);
+        let corr = filter(&plan, &field, &spectrum, correlate);
         // Convolution shifts the impulse by (-1,-1); correlation by (+1,+1).
         let peak_at = |v: &[f32]| {
             let (idx, _) =
@@ -374,22 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn embed_rejects_even_kernel() {
-        let kernel = vec![Complex::ZERO; 16];
-        let result = std::panic::catch_unwind(|| embed_centered_kernel(&kernel, 4, 8, 8));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn embed_places_center_at_origin() {
-        let mut kernel = vec![Complex::ZERO; 9];
-        kernel[4] = Complex::from_real(7.0);
-        let frame = embed_centered_kernel(&kernel, 3, 8, 8);
-        assert_eq!(frame[0], Complex::from_real(7.0));
-        assert_eq!(frame.iter().filter(|c| c.abs() > 0.0).count(), 1);
-    }
-
-    #[test]
     fn mul_conj_into_conjugates_rhs() {
         let a = vec![Complex::new(1.0, 1.0)];
         let b = vec![Complex::new(0.0, 2.0)];
@@ -397,13 +248,10 @@ mod tests {
         mul_conj_into(&mut out, &a, &b);
         // (1+i) * conj(2i) = (1+i)(-2i) = -2i - 2i² = 2 - 2i
         assert_eq!(out[0], Complex::new(2.0, -2.0));
-        // The accumulating form adds the same product on top.
-        mul_conj_add_into(&mut out, &a, &b);
-        assert_eq!(out[0], Complex::new(4.0, -4.0));
     }
 
     /// The split-plane products keep the interleaved products' bits,
-    /// including the conjugated product's unit scale.
+    /// including the conjugated product's scale.
     #[test]
     fn split_products_match_interleaved_bits() {
         let bins = |seed: f32| -> Vec<Complex> {
@@ -431,11 +279,8 @@ mod tests {
         mul_conj_split((&mut got.0, &mut got.1), sa, sb, 1.0);
         assert_eq!(split_bits(&got), bits(&want));
 
-        let mut want = acc.clone();
-        mul_conj_add_into(&mut want, &a, &b);
         let want: Vec<Complex> = want.iter().map(|c| c.scale(0.37)).collect();
-        let mut got = split(&acc);
-        mul_conj_add_split((&mut got.0, &mut got.1), sa, sb, 0.37);
+        mul_conj_split((&mut got.0, &mut got.1), sa, sb, 0.37);
         assert_eq!(split_bits(&got), bits(&want));
     }
 }

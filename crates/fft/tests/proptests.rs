@@ -366,18 +366,19 @@ proptest! {
     /// forward, `mul_into`, inverse).
     #[test]
     fn convolution_commutes(field in prop::collection::vec(0.0f32..1.0, 64)) {
-        let mut kernel = vec![Complex::ZERO; 9];
-        kernel[1] = Complex::new(0.5, 0.0);
-        kernel[4] = Complex::new(1.0, 0.0);
-        kernel[7] = Complex::new(0.5, 0.0);
-        let ks = spectrum::KernelSpectrum::new(&kernel, 3, 8, 8).unwrap();
+        // A vertical [0.5, 1, 0.5] kernel with its center tap at the origin:
+        // the tap above wraps to row 7, the one below sits in row 1.
+        let mut frame = vec![0.0f32; 64];
+        frame[0] = 1.0;
+        frame[8] = 0.5;
+        frame[7 * 8] = 0.5;
         let plan = RealFft2d::new(8, 8).unwrap();
         let mut scratch = Vec::new();
+        let mut kernel = vec![Complex::ZERO; plan.spectrum_len()];
+        plan.forward(&frame, &mut kernel, &mut scratch).unwrap();
         let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
         plan.forward(&field, &mut spec, &mut scratch).unwrap();
         let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
-        let (kre, kim) = ks.re_spectrum().unwrap();
-        let kernel: Vec<Complex> = kre.iter().zip(kim).map(|(&re, &im)| Complex::new(re, im)).collect();
         spectrum::mul_into(&mut prod, &spec, &kernel);
         let mut out = vec![0.0f32; 64];
         plan.inverse(&mut prod, &mut out, &mut scratch).unwrap();

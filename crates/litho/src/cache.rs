@@ -7,23 +7,28 @@
 //! experiment binaries that build many models of the same optics pay the
 //! eigensolve once per process *and* once per machine, and a build whose
 //! derivation differs never reads an older build's kernels.
+//!
+//! An entry is a v2 [`Checkpoint`] container, the workspace's one on-disk
+//! format: the kind tag `meta/kind`, the key `config/key`, the weights
+//! `socs/weights` (`[n]`) and the taps `socs/taps` (`[n, k, k, 2]`, real
+//! then imaginary part) as tensors, closed by the container's CRC-32
+//! trailer. The directory is shared, so an entry is outside input: it is
+//! served only when its checksum holds and its key, shapes, kernel count
+//! and values fit what the configuration derives, and is rederived
+//! otherwise. Entries are read with `std::fs::read` and written with
+//! `write_atomic`, not through `Checkpoint::load`/`save`, whose counters
+//! and fault hooks belong to training state.
 
 use crate::optics::OpticalConfig;
 use crate::socs::{SocsKernel, SocsKernels};
 use ganopc_fft::Complex;
+use ganopc_nn::checkpoint::Checkpoint;
+use ganopc_nn::Tensor;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-/// Serializable image of a kernel stack.
-#[derive(Debug, Clone)]
-struct StackImage {
-    /// Hash key of the generating configuration (collision check).
-    config_key: u64,
-    kernel_size: usize,
-    pixel_nm: f64,
-    /// Per kernel: weight + interleaved (re, im) taps.
-    kernels: Vec<(f32, Vec<(f32, f32)>)>,
-}
+/// The `meta/kind` tag of a cache entry.
+const KIND: &[u8] = b"gan-opc/socs-kernels";
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -123,118 +128,80 @@ fn cache_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("socs-{key:016x}.bin"))
 }
 
-fn encode(image: &StackImage) -> Vec<u8> {
-    // Simple length-prefixed binary layout (matches the checkpoint style):
-    // key u64 | ksize u64 | pixel f64 | count u32 | per kernel:
-    //   weight f32 | taps u32 | taps × (f32, f32).
-    let mut out = Vec::new();
-    out.extend_from_slice(b"GANOPCSK");
-    out.extend_from_slice(&image.config_key.to_le_bytes());
-    out.extend_from_slice(&(image.kernel_size as u64).to_le_bytes());
-    out.extend_from_slice(&image.pixel_nm.to_le_bytes());
-    out.extend_from_slice(&(image.kernels.len() as u32).to_le_bytes());
-    for (w, taps) in &image.kernels {
-        out.extend_from_slice(&w.to_le_bytes());
-        out.extend_from_slice(&(taps.len() as u32).to_le_bytes());
-        for (re, im) in taps {
-            out.extend_from_slice(&re.to_le_bytes());
-            out.extend_from_slice(&im.to_le_bytes());
-        }
-    }
-    out
+/// A cache entry holding `weights` and `taps` under `key`.
+fn entry(key: u64, weights: Tensor, taps: Tensor) -> Vec<u8> {
+    let mut ck = Checkpoint::new();
+    ck.put_bytes("meta/kind", KIND.to_vec());
+    ck.put_u64("config/key", key);
+    ck.put_tensors("socs/weights", &[weights]);
+    ck.put_tensors("socs/taps", &[taps]);
+    ck.to_bytes()
 }
 
-fn decode(bytes: &[u8]) -> Option<StackImage> {
-    let mut cur = 0usize;
-    let take = |cur: &mut usize, n: usize| -> Option<&[u8]> {
-        let end = cur.checked_add(n)?;
-        if end > bytes.len() {
-            return None;
-        }
-        let s = &bytes[*cur..end];
-        *cur = end;
-        Some(s)
+/// The cache entry of `stack` under `key`.
+fn encode(key: u64, stack: &SocsKernels) -> Vec<u8> {
+    let (n, size) = (stack.len(), stack.kernel_size());
+    let kernels = stack.kernels();
+    let weights = Tensor::from_vec(&[n], kernels.iter().map(|k| k.weight).collect());
+    let taps = kernels.iter().flat_map(|k| k.taps.iter().flat_map(|c| [c.re, c.im])).collect();
+    entry(key, weights, Tensor::from_vec(&[n, size, size, 2], taps))
+}
+
+/// The stack a cache entry holds, if it is a well-formed entry under `key`
+/// whose kernels `cfg` could have derived: 1 to `cfg.num_kernels` of them,
+/// `cfg.kernel_size` taps square, every weight and tap finite. The kernel
+/// size and pixel pitch come from `cfg`, never from the file.
+fn decode(bytes: &[u8], key: u64, cfg: &OpticalConfig) -> Option<SocsKernels> {
+    let ck = Checkpoint::from_bytes(bytes).ok()?;
+    if ck.get_bytes("meta/kind").ok()? != KIND || ck.get_u64("config/key").ok()? != key {
+        return None;
+    }
+    let ([weights], [taps]) =
+        (ck.get_tensors("socs/weights").ok()?, ck.get_tensors("socs/taps").ok()?)
+    else {
+        return None;
     };
-    if take(&mut cur, 8)? != b"GANOPCSK" {
+    let (n, size) = (weights.len(), cfg.kernel_size);
+    let fits = (1..=cfg.num_kernels).contains(&n)
+        && weights.shape() == [n]
+        && taps.shape() == [n, size, size, 2]
+        && weights.as_slice().iter().chain(taps.as_slice()).all(|v| v.is_finite());
+    if !fits {
         return None;
     }
-    let config_key = u64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?);
-    let kernel_size = u64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?) as usize;
-    let pixel_nm = f64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?);
-    let count = u32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
-    if count == 0 || count > 1024 {
-        return None;
-    }
-    let mut kernels = Vec::with_capacity(count);
-    for _ in 0..count {
-        let w = f32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?);
-        let ntaps = u32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
-        if ntaps != kernel_size * kernel_size {
-            return None;
-        }
-        let raw = take(&mut cur, 8 * ntaps)?;
-        let taps: Vec<(f32, f32)> = raw
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    // PANIC: chunks_exact(8) yields exactly 8 bytes per chunk.
-                    f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-                    // PANIC: chunks_exact(8) yields exactly 8 bytes per chunk.
-                    f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-                )
-            })
-            .collect();
-        kernels.push((w, taps));
-    }
-    if cur != bytes.len() {
-        return None;
-    }
-    Some(StackImage { config_key, kernel_size, pixel_nm, kernels })
-}
-
-fn to_image(cfg: &OpticalConfig, stack: &SocsKernels) -> StackImage {
-    StackImage {
-        config_key: config_key(cfg),
-        kernel_size: stack.kernel_size(),
-        pixel_nm: stack.pixel_nm(),
-        kernels: stack
-            .kernels()
-            .iter()
-            .map(|k| (k.weight, k.taps.iter().map(|c| (c.re, c.im)).collect()))
-            .collect(),
-    }
-}
-
-fn from_image(image: StackImage) -> SocsKernels {
-    let kernels = image
-        .kernels
-        .into_iter()
-        .map(|(weight, taps)| SocsKernel {
+    let kernels = weights
+        .as_slice()
+        .iter()
+        .zip(taps.as_slice().chunks_exact(2 * size * size))
+        .map(|(&weight, taps)| SocsKernel {
             weight,
-            taps: taps.into_iter().map(|(re, im)| Complex::new(re, im)).collect(),
+            taps: taps.chunks_exact(2).map(|t| Complex::new(t[0], t[1])).collect(),
         })
         .collect();
-    SocsKernels::from_parts(image.kernel_size, image.pixel_nm, kernels)
+    Some(SocsKernels::from_parts(size, cfg.pixel_nm, kernels))
 }
 
 /// Loads the kernel stack for `cfg` from `dir`, deriving and storing it on
-/// a miss. Corrupt or mismatched cache entries are silently rederived
-/// (and overwritten); cache I/O failures fall back to derivation.
+/// a miss. Corrupt, mismatched or foreign cache entries are silently
+/// rederived (and overwritten); cache I/O failures fall back to derivation.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`OpticalConfig::validate`], as
+/// [`SocsKernels::from_config`] does.
 pub fn load_or_derive(cfg: &OpticalConfig, dir: &Path) -> SocsKernels {
     let key = config_key(cfg);
     let path = cache_path(dir, key);
     if let Ok(bytes) = std::fs::read(&path) {
-        if let Some(image) = decode(&bytes) {
-            if image.config_key == key {
-                return from_image(image);
-            }
+        if let Some(stack) = decode(&bytes, key, cfg) {
+            return stack;
         }
     }
     let stack = SocsKernels::from_config(cfg);
     if std::fs::create_dir_all(dir).is_ok() {
         // Atomic write: a crash mid-store must not leave a truncated blob
         // that every later process re-reads, rejects, and rewrites.
-        let _ = ganopc_geometry::io::write_atomic(&path, &encode(&to_image(cfg, &stack)));
+        let _ = ganopc_geometry::io::write_atomic(&path, &encode(key, &stack));
     }
     stack
 }
@@ -258,12 +225,15 @@ mod tests {
     }
 
     fn stacks_equal(a: &SocsKernels, b: &SocsKernels) -> bool {
-        a.kernel_size() == b.kernel_size()
-            && a.len() == b.len()
-            && a.kernels()
-                .iter()
-                .zip(b.kernels())
-                .all(|(x, y)| x.weight == y.weight && x.taps == y.taps)
+        a.kernel_size() == b.kernel_size() && a.pixel_nm() == b.pixel_nm() && bits(a) == bits(b)
+    }
+
+    /// Every weight and tap of a stack as bits, kernel by kernel.
+    fn bits(stack: &SocsKernels) -> Vec<u32> {
+        let values = stack.kernels().iter().flat_map(|k| {
+            std::iter::once(k.weight).chain(k.taps.iter().flat_map(|c| [c.re, c.im]))
+        });
+        values.map(f32::to_bits).collect()
     }
 
     #[test]
@@ -319,6 +289,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One flipped bit in a stored tap: the entry must not be served, and
+    /// the reload must equal a fresh derivation bit for bit.
+    #[test]
+    fn a_flipped_tap_bit_is_rederived() {
+        let dir = temp_dir("bitflip");
+        let cfg = fast_cfg();
+        let fresh = SocsKernels::from_config(&cfg);
+        load_or_derive(&cfg, &dir);
+        let path = cache_path(&dir, config_key(&cfg));
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The leading kernel's center tap, stored as little-endian f32.
+        let size = fresh.kernel_size();
+        let center = fresh.kernels()[0].taps[size * size / 2];
+        let tap = if center.re != 0.0 { center.re } else { center.im };
+        assert_ne!(tap, 0.0);
+        let at = bytes.windows(4).position(|w| w == tap.to_le_bytes()).expect("tap stored");
+        bytes[at] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Well-formed entries under the right key whose contents `cfg` cannot
+    /// have derived: each must be rederived, without a panic on the way.
+    #[test]
+    fn entries_that_do_not_fit_the_config_are_rederived() {
+        let dir = temp_dir("misfit");
+        let cfg = fast_cfg();
+        let fresh = SocsKernels::from_config(&cfg);
+        let (key, n, size) = (config_key(&cfg), fresh.len(), cfg.kernel_size);
+        let weights = |n: usize| Tensor::filled(&[n], 0.1);
+        let taps = |shape: &[usize]| Tensor::filled(shape, 0.01);
+        let mut nan_taps = taps(&[n, size, size, 2]);
+        nan_taps.as_mut_slice()[7] = f32::NAN;
+        let misfits = [
+            ("even kernel size", entry(key, weights(n), taps(&[n, size - 1, size - 1, 2]))),
+            ("wider than the frame", entry(key, weights(n), taps(&[n, 99, 99, 2]))),
+            ("too many kernels", {
+                let m = cfg.num_kernels + 1;
+                entry(key, weights(m), taps(&[m, size, size, 2]))
+            }),
+            ("weights and taps disagree", entry(key, weights(n + 1), taps(&[n, size, size, 2]))),
+            ("flat taps", entry(key, weights(n), taps(&[n, size * size * 2]))),
+            ("a NaN tap", entry(key, weights(n), nan_taps)),
+        ];
+        for (what, bytes) in misfits {
+            std::fs::write(cache_path(&dir, key), bytes).unwrap();
+            assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh), "{what}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn entries_from_another_derivation_are_not_served() {
         // An entry under the configuration-only key, in both its file name
@@ -327,17 +349,20 @@ mod tests {
         let dir = temp_dir("stale");
         let cfg = fast_cfg();
         let fresh = SocsKernels::from_config(&cfg);
-        let mut stale = to_image(&cfg, &fresh);
-        stale.config_key = fields_key(FNV_OFFSET, &cfg);
-        assert_ne!(stale.config_key, config_key(&cfg));
-        for (_, taps) in &mut stale.kernels {
-            for (re, _) in taps.iter_mut() {
-                *re *= 0.5;
-            }
-        }
-        std::fs::write(cache_path(&dir, stale.config_key), encode(&stale)).unwrap();
-        let planted = decode(&std::fs::read(cache_path(&dir, stale.config_key)).unwrap());
-        assert!(!stacks_equal(&from_image(planted.expect("decodable")), &fresh));
+        let stale_key = fields_key(FNV_OFFSET, &cfg);
+        assert_ne!(stale_key, config_key(&cfg));
+        let halved = fresh
+            .kernels()
+            .iter()
+            .map(|k| SocsKernel {
+                weight: k.weight,
+                taps: k.taps.iter().map(|c| Complex::new(c.re * 0.5, c.im)).collect(),
+            })
+            .collect();
+        let stale = SocsKernels::from_parts(fresh.kernel_size(), fresh.pixel_nm(), halved);
+        std::fs::write(cache_path(&dir, stale_key), encode(stale_key, &stale)).unwrap();
+        let planted = decode(&std::fs::read(cache_path(&dir, stale_key)).unwrap(), stale_key, &cfg);
+        assert!(!stacks_equal(&planted.expect("decodable"), &fresh));
         assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -346,23 +371,24 @@ mod tests {
     fn encode_decode_is_exact() {
         let cfg = fast_cfg();
         let stack = SocsKernels::from_config(&cfg);
-        let image = to_image(&cfg, &stack);
-        let decoded = decode(&encode(&image)).expect("decodable");
-        assert_eq!(decoded.config_key, image.config_key);
-        assert_eq!(decoded.kernels.len(), image.kernels.len());
-        assert_eq!(decoded.kernels, image.kernels);
+        let key = config_key(&cfg);
+        let decoded = decode(&encode(key, &stack), key, &cfg).expect("decodable");
+        assert!(stacks_equal(&decoded, &stack));
+        // Under another key the same bytes are not this configuration's.
+        assert!(decode(&encode(key, &stack), key ^ 1, &cfg).is_none());
     }
 
     #[test]
     fn truncated_blobs_rejected() {
         let cfg = fast_cfg();
         let stack = SocsKernels::from_config(&cfg);
-        let bytes = encode(&to_image(&cfg, &stack));
+        let key = config_key(&cfg);
+        let bytes = encode(key, &stack);
         for cut in [4usize, 20, bytes.len() - 3] {
-            assert!(decode(&bytes[..cut]).is_none(), "cut {cut} accepted");
+            assert!(decode(&bytes[..cut], key, &cfg).is_none(), "cut {cut} accepted");
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode(&padded).is_none());
+        assert!(decode(&padded, key, &cfg).is_none());
     }
 }

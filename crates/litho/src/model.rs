@@ -3,25 +3,25 @@
 use crate::optics::OpticalConfig;
 use crate::socs::SocsKernels;
 use crate::{Field, LithoError};
-use ganopc_fft::spectrum::{self, KernelSpectrum, Split};
-use ganopc_fft::RealFft2d;
+use ganopc_fft::spectrum::{self, Split};
+use ganopc_fft::{Complex, RealFft2d};
 use ganopc_nn::pool;
 use ganopc_obs as obs;
 use std::cell::RefCell;
 
-/// One kernel's buffers: the real and imaginary component fields
-/// `(p_k, q_k)` of its convolution in tile layout (each used only where
-/// the kernel stores that component), then its weighted Eq. (14) adjoint
-/// half-spectrum in split planes.
+/// One stored kernel component's buffers: its convolved field in tile
+/// layout (`p_k` for a real part, `q_k` for an imaginary one), then its
+/// weighted Eq. (14) adjoint half-spectrum in split planes.
 #[derive(Default)]
 struct KernelSlot {
-    fields: [Vec<f32>; 2],
+    field: Vec<f32>,
     adjoint: Vec<f32>,
 }
 
-/// A thread's litho scratch: one slot per SOCS kernel, then the per-call
-/// buffers. Frames are in [`RealFft2d`]'s tile layout and spectra in its
-/// split planes, so every move between them is one of the transform's own.
+/// A thread's litho scratch: one slot per stored kernel component, then the
+/// per-call buffers. Frames are in [`RealFft2d`]'s tile layout and spectra
+/// in its split planes, so every move between them is one of the
+/// transform's own.
 struct Scratch {
     kernels: Vec<KernelSlot>,
     /// The mask's half-spectrum.
@@ -39,8 +39,8 @@ thread_local! {
     /// and only grows (on a thread's first call, or for a larger model), so
     /// warm aerial and gradient evaluations neither allocate nor zero-fill.
     /// Thread-local because pre-training runs whole gradient evaluations
-    /// concurrently on crew workers, each needing its own; the kernel jobs
-    /// a call fans out write the calling thread's slots.
+    /// concurrently on crew workers, each needing its own; the component
+    /// jobs a call fans out write the calling thread's slots.
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
             kernels: Vec::new(),
@@ -66,7 +66,7 @@ fn mul_lanes(out: &mut [f32], g: &[f32], f: &[f32]) {
     }
 }
 
-/// `acc[i] += v[i]` bin by bin: one kernel's turn in the adjoint sum.
+/// `acc[i] += v[i]` bin by bin: one component's turn in the adjoint sum.
 // lint: hot-path
 fn add_lanes(acc: &mut [f32], v: &[f32]) {
     for (a, &c) in acc.iter_mut().zip(v) {
@@ -90,11 +90,72 @@ fn pixel_order_error(resid: &[f32], h: usize) -> f64 {
     error
 }
 
+/// A component's magnitude must clear this fraction of its kernel's peak to
+/// be stored; below it the component is f64→f32 rounding residue of an
+/// analytically-zero part (the eigenvector flip parity at nominal focus) and
+/// is dropped outright.
+const COMPONENT_DROP_RATIO: f32 = 1e-6;
+
+/// The parts of a kernel with taps `taps` that the model stores, real part
+/// first: those with some tap above [`COMPONENT_DROP_RATIO`] of the
+/// kernel's peak `max(|re|, |im|)`. At nominal focus every SOCS kernel keeps
+/// exactly one.
+fn stored_parts(taps: &[Complex]) -> impl Iterator<Item = fn(&Complex) -> f32> + '_ {
+    // A compare, not an `f32::max` fold, for the reason `Tensor::max_abs`
+    // gives.
+    let peak = taps.iter().fold(0.0f32, |m, c| {
+        let v = c.re.abs().max(c.im.abs());
+        if v > m {
+            v
+        } else {
+            m
+        }
+    });
+    let cutoff = peak * COMPONENT_DROP_RATIO;
+    let parts: [fn(&Complex) -> f32; 2] = [|c| c.re, |c| c.im];
+    parts.into_iter().filter(move |part| !taps.iter().all(|c| part(c).abs() <= cutoff))
+}
+
+/// The stored components of `stack` on `rfft`'s frame, in stack order: per
+/// kernel, `(w_k, split half-spectrum)` of each of its [`stored_parts`].
+/// Each part is a real frame holding the taps with the center tap at the
+/// origin, wrapped cyclically, so its spectrum is Hermitian and it
+/// convolves a real mask through the real-FFT engine. The stack's kernel
+/// size must be odd and no larger than the frame, as [`LithoModel::new`]
+/// and the cache ensure.
+fn component_spectra(stack: &SocsKernels, rfft: &RealFft2d) -> Vec<(f32, Vec<f32>)> {
+    let (h, w, slen) = (rfft.height(), rfft.width(), rfft.spectrum_len());
+    let (size, half) = (stack.kernel_size(), stack.kernel_size() / 2);
+    let mut components = Vec::new();
+    for k in stack.kernels() {
+        for part in stored_parts(&k.taps) {
+            let mut frame = vec![0.0f32; h * w];
+            for (ky, row) in k.taps.chunks_exact(size).enumerate() {
+                let dy = (ky + h - half) % h;
+                for (kx, tap) in row.iter().enumerate() {
+                    frame[dy * w + (kx + w - half) % w] = part(tap);
+                }
+            }
+            let mut planes = vec![0.0f32; 2 * slen];
+            let (dst_re, dst_im) = planes.split_at_mut(slen);
+            rfft.forward_with(
+                |tile| tile.pack(&frame),
+                |re, im| {
+                    dst_re.copy_from_slice(re);
+                    dst_im.copy_from_slice(im);
+                },
+            );
+            components.push((k.weight, planes));
+        }
+    }
+    components
+}
+
 /// A planned lithography simulator for one frame size.
 ///
-/// Holds the SOCS kernel stack embedded as frame-sized packed half-spectra,
-/// the real-FFT plan, the calibrated resist threshold `I_th` and the sigmoid
-/// steepness `α` of Eq. (12). Its scratch is per thread and persistent, so
+/// Holds the SOCS kernel stack as a flat list of stored components, each a
+/// frame-sized packed half-spectrum, the real-FFT plan, the calibrated
+/// resist threshold `I_th` and the sigmoid steepness `α` of Eq. (12). Its scratch is per thread and persistent, so
 /// after a warm-up call on each entry point, aerial-image and gradient
 /// evaluations perform zero heap allocation.
 ///
@@ -113,8 +174,11 @@ pub struct LithoModel {
     height: usize,
     width: usize,
     rfft: RealFft2d,
-    /// `(w_k, half-spectra of h_k)` pairs.
-    spectra: Vec<(f32, KernelSpectrum)>,
+    /// Number of SOCS kernels `N_h` in the stack.
+    num_kernels: usize,
+    /// `(w_k, split half-spectrum)` per stored kernel component, from
+    /// [`component_spectra`].
+    components: Vec<(f32, Vec<f32>)>,
     threshold: f32,
     sigmoid_alpha: f32,
     dose_delta: f32,
@@ -206,20 +270,14 @@ impl LithoModel {
             SocsKernels::from_config(&cfg)
         };
         let rfft = RealFft2d::new(height, width)?;
-        let spectra = stack
-            .kernels()
-            .iter()
-            .map(|k| {
-                KernelSpectrum::new(&k.taps, stack.kernel_size(), height, width)
-                    .map(|s| (k.weight, s))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let components = component_spectra(&stack, &rfft);
         let mut model = LithoModel {
             cfg,
             height,
             width,
             rfft,
-            spectra,
+            num_kernels: stack.len(),
+            components,
             threshold: 0.3,
             sigmoid_alpha: Self::DEFAULT_SIGMOID_ALPHA,
             dose_delta: Self::DEFAULT_DOSE_DELTA,
@@ -314,7 +372,7 @@ impl LithoModel {
     /// Number of SOCS kernels in use.
     #[inline]
     pub fn num_kernels(&self) -> usize {
-        self.spectra.len()
+        self.num_kernels
     }
 
     fn check_shape(&self, field: &Field) -> Result<(), LithoError> {
@@ -327,26 +385,25 @@ impl LithoModel {
         Ok(())
     }
 
-    /// The stored components of kernel `ki`: the half-spectra of its real
-    /// and imaginary parts, `None` where a part was dropped.
+    /// Component `c`'s half-spectrum as split planes.
     #[inline]
-    fn components(&self, ki: usize) -> [Option<Split<'_>>; 2] {
-        let ks = &self.spectra[ki].1;
-        [ks.re_spectrum(), ks.im_spectrum()]
+    fn spectrum(&self, c: usize) -> Split<'_> {
+        let planes = &self.components[c].1;
+        planes.split_at(planes.len() / 2)
     }
 
     /// Runs `f` on this thread's scratch, grown to this model: one slot per
-    /// kernel, split spectrum planes for the mask and the adjoint sum, and
-    /// tile-layout frames for the intensity and `g`. The kernel slots' own
+    /// stored component, split spectrum planes for the mask and the adjoint
+    /// sum, and tile-layout frames for the intensity and `g`. The slots' own
     /// buffers grow in the jobs that first write them.
     fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
         let (n, slen) = (self.height * self.width, self.rfft.spectrum_len());
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            if scratch.kernels.len() < self.spectra.len() {
+            if scratch.kernels.len() < self.components.len() {
                 // ALLOC: one-time growth of the persistent per-thread slot
-                // list (one entry per SOCS kernel, ~24).
-                scratch.kernels.resize_with(self.spectra.len(), KernelSlot::default);
+                // list (one entry per stored component, ~24).
+                scratch.kernels.resize_with(self.components.len(), KernelSlot::default);
             }
             // Resizing to an unchanged length touches nothing.
             scratch.mask.resize(2 * slen, 0.0);
@@ -358,7 +415,7 @@ impl LithoModel {
     }
 
     /// Packed half-spectrum of a real mask into split planes, reused across
-    /// kernels.
+    /// components.
     // lint: hot-path
     fn mask_spectrum(&self, mask: &Field, spectrum: &mut [f32]) {
         let (dst_re, dst_im) = spectrum.split_at_mut(self.rfft.spectrum_len());
@@ -371,55 +428,46 @@ impl LithoModel {
         );
     }
 
-    /// Per-kernel convolved fields `A_k = M ⊗ h_k` from the mask's
-    /// half-spectrum, split into real and imaginary parts `(p_k, q_k)`: each
-    /// is one inverse transform entered by the spectral product `M̂ ⊙ R_k`
-    /// (or `M̂ ⊙ I_k`) whose row pass runs in the slot's own field. Kernel
+    /// Per-component convolved fields from the mask's half-spectrum: the
+    /// real and imaginary parts `p_k`, `q_k` of `A_k = M ⊗ h_k`, each one
+    /// inverse transform entered by the spectral product `M̂ ⊙ R_k` (or
+    /// `M̂ ⊙ I_k`) whose row pass runs in the slot's own field. Component
     /// indices fan out over the shared worker pool (capped by
     /// `GANOPC_THREADS`) through the allocation-free [`pool::run_chunks`]
-    /// path; slot `k` receives kernel `k`'s components, so downstream
-    /// reductions walk the slots in kernel order regardless of the worker
-    /// count.
+    /// path; slot `c` receives component `c`, so downstream reductions walk
+    /// the slots in stack order regardless of the worker count.
     // lint: hot-path
     fn convolved_fields_into(&self, mask: Split<'_>, slots: &mut [KernelSlot]) {
         let (n, hw) = (self.height * self.width, self.rfft.half_width());
-        let slots = pool::DisjointMut::new(&mut slots[..self.spectra.len()]);
-        pool::run_chunks(self.spectra.len(), |kernels| {
-            for ki in kernels {
-                // SAFETY: run_chunks kernel ranges partition the slot list,
-                // so slot ki is written by exactly this chunk.
-                let slot = unsafe { slots.index_mut(ki) };
-                for (field, comp) in slot.fields.iter_mut().zip(self.components(ki)) {
-                    let Some(comp) = comp else { continue };
-                    // ALLOC: one-time growth of this slot's persistent field.
-                    field.resize(n, 0.0);
-                    self.rfft.inverse_into(
-                        |ky, re, im| {
-                            spectrum::mul_split((re, im), row(mask, ky, hw), row(comp, ky, hw));
-                        },
-                        field,
-                    );
-                }
+        let slots = pool::DisjointMut::new(&mut slots[..self.components.len()]);
+        pool::run_chunks(self.components.len(), |components| {
+            for c in components {
+                // SAFETY: run_chunks component ranges partition the slot
+                // list, so slot c is written by exactly this chunk.
+                let field = &mut unsafe { slots.index_mut(c) }.field;
+                let comp = self.spectrum(c);
+                // ALLOC: one-time growth of this slot's persistent field.
+                field.resize(n, 0.0);
+                self.rfft.inverse_into(
+                    |ky, re, im| {
+                        spectrum::mul_split((re, im), row(mask, ky, hw), row(comp, ky, hw));
+                    },
+                    field,
+                );
             }
         });
     }
 
     /// Writes the intensity `Σ_k w_k (p_k² + q_k²)` of the tile-layout
     /// frame elements `first .. first + out.len()` into `out`. Each pixel
-    /// starts from zero and adds the kernels in kernel order, real component
-    /// before imaginary, so its bits do not depend on how the frame was
-    /// split into ranges.
+    /// starts from zero and adds the components in stack order, so its bits
+    /// do not depend on how the frame was split into ranges.
     // lint: hot-path
     fn intensity_rows(&self, slots: &[KernelSlot], first: usize, out: &mut [f32]) {
         out.fill(0.0);
-        for (ki, ((w, _), slot)) in self.spectra.iter().zip(slots).enumerate() {
-            for (field, comp) in slot.fields.iter().zip(self.components(ki)) {
-                if comp.is_none() {
-                    continue;
-                }
-                for (acc, &v) in out.iter_mut().zip(&field[first..]) {
-                    *acc += w * v * v;
-                }
+        for ((w, _), slot) in self.components.iter().zip(slots) {
+            for (acc, &v) in out.iter_mut().zip(&slot.field[first..]) {
+                *acc += w * v * v;
             }
         }
     }
@@ -574,7 +622,7 @@ impl LithoModel {
         let (slen, hw) = (self.rfft.spectrum_len(), self.rfft.half_width());
         self.with_scratch(|scratch| {
             let Scratch { kernels, mask: mask_spec, image: resid, g, sum } = scratch;
-            let kernels = &mut kernels[..self.spectra.len()];
+            let kernels = &mut kernels[..self.components.len()];
             self.mask_spectrum(mask, mask_spec);
             self.convolved_fields_into(mask_spec.split_at(slen), kernels);
 
@@ -615,63 +663,50 @@ impl LithoModel {
             // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
             // A_k = p + i·q and H_k = R + i·I (half-spectra of the kernel's real
             // components), the real part collapses to a Hermitian inverse, and
-            // because c2r is linear the kernels share one:
-            // grad = c2r( Σ_k 2w_k (P_k ⊙ conj(R_k) + Q_k ⊙ conj(I_k)) ),
+            // because c2r is linear the components share one:
+            // grad = c2r( Σ_k 2w_k P_k ⊙ conj(R_k) + 2w_k Q_k ⊙ conj(I_k) ),
             // P_k = r2c(g⊙p_k), Q_k = r2c(g⊙q_k) — one c2r per gradient instead
-            // of one per kernel. Each forward transform is entered by writing
-            // g ⊙ p straight into the tile and left by forming the weighted
-            // product from the column planes into the kernel's slot:
-            // `mul_conj`, then `mul_conj_add` for a second component, with the
-            // 2w scale on the last. Kernel indices fan out over the pool, as
-            // jobs 1.. of one dispatch whose job 0 sums the error; the sum
+            // of one per component. Each forward transform is entered by
+            // writing g ⊙ p straight into the tile and left by forming the
+            // weighted product `2w · P ⊙ conj(R)` from the column planes into
+            // the component's slot. Component indices fan out over the pool,
+            // as jobs 1.. of one dispatch whose job 0 sums the error; the sum
             // below fans out over spectrum rows, and every bin adds the
-            // kernels in kernel order, so the gradient bits do not depend on
-            // how many workers ran.
+            // components in stack order, so the gradient bits do not depend
+            // on how many workers ran.
             let (g_even, g_odd) = g.split_at(m * h);
             let resid = &resid[..];
             let mut error = 0.0f64;
             let error_slot = pool::DisjointMut::new(std::slice::from_mut(&mut error));
             let slots = pool::DisjointMut::new(&mut kernels[..]);
-            pool::run_chunks(1 + self.spectra.len(), |jobs| {
+            pool::run_chunks(1 + self.components.len(), |jobs| {
                 for job in jobs {
-                    let Some(ki) = job.checked_sub(1) else {
+                    let Some(c) = job.checked_sub(1) else {
                         // SAFETY: only job 0 writes the error, and run_chunks
                         // runs each job exactly once.
                         *unsafe { error_slot.index_mut(0) } = pixel_order_error(resid, h);
                         continue;
                     };
                     // SAFETY: run_chunks job ranges partition the jobs, so
-                    // slot ki is owned by exactly this chunk.
-                    let slot = unsafe { slots.index_mut(ki) };
-                    let comps = self.components(ki);
-                    let Some(last) = comps.iter().rposition(Option::is_some) else { continue };
+                    // slot c is owned by exactly this chunk.
+                    let slot = unsafe { slots.index_mut(c) };
+                    let (scale, comp) = (2.0 * self.components[c].0, self.spectrum(c));
                     // ALLOC: one-time growth of this slot's persistent spectrum.
                     slot.adjoint.resize(2 * slen, 0.0);
                     let (adj_re, adj_im) = slot.adjoint.split_at_mut(slen);
-                    let mut wrote = false;
-                    for (c, (field, comp)) in slot.fields.iter().zip(comps).enumerate() {
-                        let Some(comp) = comp else { continue };
-                        let scale = if c == last { 2.0 * self.spectra[ki].0 } else { 1.0 };
-                        let (f_even, f_odd) = field.split_at(m * h);
-                        self.rfft.forward_with(
-                            |tile| {
-                                tile.fill(|j, re, im| {
-                                    let a = j * h;
-                                    mul_lanes(re, &g_even[a..][..h], &f_even[a..][..h]);
-                                    mul_lanes(im, &g_odd[a..][..h], &f_odd[a..][..h]);
-                                })
-                            },
-                            |p_re, p_im| {
-                                let adj = (&mut adj_re[..], &mut adj_im[..]);
-                                if wrote {
-                                    spectrum::mul_conj_add_split(adj, (p_re, p_im), comp, scale);
-                                } else {
-                                    spectrum::mul_conj_split(adj, (p_re, p_im), comp, scale);
-                                }
-                            },
-                        );
-                        wrote = true;
-                    }
+                    let (f_even, f_odd) = slot.field.split_at(m * h);
+                    self.rfft.forward_with(
+                        |tile| {
+                            tile.fill(|j, re, im| {
+                                let a = j * h;
+                                mul_lanes(re, &g_even[a..][..h], &f_even[a..][..h]);
+                                mul_lanes(im, &g_odd[a..][..h], &f_odd[a..][..h]);
+                            })
+                        },
+                        |p_re, p_im| {
+                            spectrum::mul_conj_split((adj_re, adj_im), (p_re, p_im), comp, scale)
+                        },
+                    );
                 }
             });
             let (sum_re, sum_im) = sum.split_at_mut(slen);
@@ -687,10 +722,7 @@ impl LithoModel {
                 let acc_im = unsafe { im_rows.slice_mut(first..end) };
                 acc_re.fill(0.0);
                 acc_im.fill(0.0);
-                for (ki, slot) in slots.iter().enumerate() {
-                    if self.components(ki).iter().all(Option::is_none) {
-                        continue;
-                    }
+                for slot in slots {
                     let (adj_re, adj_im) = slot.adjoint.split_at(slen);
                     add_lanes(acc_re, &adj_re[first..end]);
                     add_lanes(acc_im, &adj_im[first..end]);
@@ -932,6 +964,46 @@ mod tests {
         let model = small_model();
         let th = model.threshold();
         assert!(th > 0.01 && th < 1.0, "threshold {th}");
+    }
+
+    /// The property the in-focus bit-identity rests on: at nominal focus,
+    /// every kernel of the stacks the benchmark and the pinned runs derive
+    /// keeps exactly one component, so each kernel is one entry of the
+    /// component list.
+    #[test]
+    fn every_in_focus_kernel_keeps_one_component() {
+        for (size, kernels) in [(128usize, 24usize), (64, 12), (32, 12), (32, 24)] {
+            let mut cfg = OpticalConfig::default_32nm(2048.0 / size as f64);
+            cfg.num_kernels = kernels;
+            let stack = SocsKernels::from_config(&cfg);
+            for (k, kernel) in stack.kernels().iter().enumerate() {
+                let stored = stored_parts(&kernel.taps).count();
+                assert_eq!(stored, 1, "{size} px, {kernels} kernels: kernel {k} keeps {stored}");
+            }
+        }
+        // Out of focus the rule keeps both parts, so the count can read 2.
+        let cfg = small_config().with_defocus(60.0);
+        let stack = SocsKernels::from_config(&cfg);
+        assert!(stack.kernels().iter().any(|k| stored_parts(&k.taps).count() == 2));
+    }
+
+    /// A kernel's parts become spectra of frames with the center tap at the
+    /// origin: a lone real center tap `t` has the flat spectrum `t`, and
+    /// its zero imaginary part is not stored.
+    #[test]
+    fn a_center_tap_is_a_flat_spectrum() {
+        let mut taps = vec![Complex::ZERO; 9];
+        taps[4] = Complex::from_real(7.0);
+        let kernel = crate::socs::SocsKernel { weight: 0.5, taps };
+        let stack = SocsKernels::from_parts(3, 16.0, vec![kernel]);
+        let rfft = RealFft2d::new(8, 8).unwrap();
+        let components = component_spectra(&stack, &rfft);
+        assert_eq!(components.len(), 1);
+        let (weight, planes) = &components[0];
+        assert_eq!(*weight, 0.5);
+        let (re, im) = planes.split_at(rfft.spectrum_len());
+        assert!(re.iter().all(|&v| v == 7.0), "{re:?}");
+        assert!(im.iter().all(|&v| v == 0.0), "{im:?}");
     }
 
     #[test]

@@ -163,16 +163,6 @@ impl SocsKernels {
             })
             .sum()
     }
-
-    /// Truncates the stack to its strongest `n` kernels (ablation studies on
-    /// `N_h`, paper Eq. (2)).
-    pub fn truncated(&self, n: usize) -> SocsKernels {
-        SocsKernels {
-            kernel_size: self.kernel_size,
-            pixel_nm: self.pixel_nm,
-            kernels: self.kernels.iter().take(n.max(1)).cloned().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,16 +212,6 @@ mod tests {
                 assert_eq!(k.taps[idx], Complex::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn truncation_keeps_strongest() {
-        let stack = SocsKernels::from_config(&fast_cfg());
-        let t = stack.truncated(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.kernels()[0].weight, stack.kernels()[0].weight);
-        // Truncating to zero still keeps one kernel.
-        assert_eq!(stack.truncated(0).len(), 1);
     }
 
     #[test]

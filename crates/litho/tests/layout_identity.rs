@@ -15,14 +15,14 @@
 //! * the intensity from zero in kernel order, real component before
 //!   imaginary, the resist sweep in image layout, and the error `Σ d²` in
 //!   f64 in pixel order;
-//! * per kernel, `r2c(g ⊙ p)` then `mul_conj_into`, `mul_conj_add_into` for
-//!   a second component and the `2w` scale last, the adjoint sum from zero
-//!   in kernel order, and one interleaved inverse into the gradient.
+//! * per kernel component, `r2c(g ⊙ p)`, `mul_conj_into` and the `2w`
+//!   scale, the adjoint sum from zero in stack order, and one interleaved
+//!   inverse into the gradient.
 //!
 //! It runs in focus (one component per kernel) and 60 nm out of focus (two),
 //! at 64 px with 12 kernels and at 128 px with 4, at doses 1 and 0.98.
 
-use ganopc_fft::spectrum::{mul_conj_add_into, mul_conj_into, mul_into};
+use ganopc_fft::spectrum::{mul_conj_into, mul_into};
 use ganopc_fft::{Complex, RealFft2d};
 use ganopc_litho::{Field, LithoModel, OpticalConfig, SocsKernels};
 
@@ -50,7 +50,14 @@ fn kernels(model: &LithoModel, plan: &RealFft2d) -> Vec<Kernel> {
                     frame[dy * w + dx] = k.taps[ky * size + kx];
                 }
             }
-            let peak = frame.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0f32, f32::max);
+            // A compare, not an `f32::max` fold (see `Tensor::max_abs`).
+            let peak = frame.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0f32, |m, v| {
+                if v > m {
+                    v
+                } else {
+                    m
+                }
+            });
             let parts: [fn(&Complex) -> f32; 2] = [|c| c.re, |c| c.im];
             let components = parts
                 .iter()
@@ -116,22 +123,15 @@ fn gradient(
     }
     let mut sum = vec![Complex::ZERO; plan.spectrum_len()];
     for (k, fields) in kernels.iter().zip(&fields) {
-        if k.components.is_empty() {
-            continue;
-        }
-        let mut adjoint = vec![Complex::ZERO; plan.spectrum_len()];
-        for (c, (comp, field)) in k.components.iter().zip(fields).enumerate() {
+        for (comp, field) in k.components.iter().zip(fields) {
             let u: Vec<f32> = g.iter().zip(field).map(|(&gi, &fi)| gi * fi).collect();
             let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
             plan.forward(&u, &mut spec, &mut Vec::new()).unwrap();
-            if c == 0 {
-                mul_conj_into(&mut adjoint, &spec, comp);
-            } else {
-                mul_conj_add_into(&mut adjoint, &spec, comp);
+            let mut adjoint = vec![Complex::ZERO; plan.spectrum_len()];
+            mul_conj_into(&mut adjoint, &spec, comp);
+            for (acc, c) in sum.iter_mut().zip(&adjoint) {
+                *acc += c.scale(2.0 * k.weight);
             }
-        }
-        for (acc, c) in sum.iter_mut().zip(&adjoint) {
-            *acc += c.scale(2.0 * k.weight);
         }
     }
     let mut grad = vec![0.0f32; plan.real_len()];

@@ -216,8 +216,9 @@ fn aerial_and_gradient_match_spatial_oracle() {
         assert_eq!(kernels.len(), model.num_kernels());
         let both = two_component_kernels(&kernels);
         println!("{name}: {both} of {} kernels store both components", kernels.len());
-        // Each case must reach the branch it is there for: one component per
-        // kernel in focus, both (the `mul_conj_add_into` path) out of it.
+        // Each case must reach the case it is there for: one component per
+        // kernel in focus, both (two entries of the component list, each
+        // with its own adjoint) out of it.
         let expect_both = if model.config().defocus_nm == 0.0 { 0 } else { kernels.len() };
         assert_eq!(both, expect_both, "{name}: component split changed");
         let (mask, target) = inputs();

@@ -16,6 +16,32 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> ganopc-lint (workspace invariants)"
 cargo run --release -p ganopc-lint
 
+echo "==> manifests name only the dependencies their sources use"
+# Each [dependencies] or [dev-dependencies] entry of the root and crates/*
+# manifests must appear, dashes read as underscores, in some .rs file of
+# its package (for the root: src/, tests/ and examples/). An entry nothing
+# names only lengthens the build graph.
+unused=""
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    if [ "$dir" = "." ]; then sources="src tests examples"; else sources="$dir"; fi
+    entries=$(awk '/^\[/ { section = $0; next }
+        (section == "[dependencies]" || section == "[dev-dependencies]") && /^[A-Za-z0-9_-]+[ .=]/ {
+            name = $0; sub(/[ .=].*/, "", name); print section "=" name }' "$manifest")
+    for entry in $entries; do
+        name=${entry#*=}
+        # $sources is a list of directories, so it is left unquoted.
+        if ! grep -rqw --include='*.rs' "${name//-/_}" $sources; then
+            unused="$unused
+  $manifest ${entry%=*} $name"
+        fi
+    done
+done
+if [ -n "$unused" ]; then
+    echo "FAIL: manifest entries that no source file of their package names:$unused"
+    exit 1
+fi
+
 echo "==> benchmark compiles against the tree (ganbench/)"
 # ganbench drives the crates' public API from its own workspace, so a
 # removal that breaks it shows here. A build may prune ganbench/Cargo.lock,
