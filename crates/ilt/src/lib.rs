@@ -112,7 +112,8 @@ pub struct IltConfig {
     pub tolerance: f64,
     /// Window (iterations) for the convergence test.
     pub patience: usize,
-    /// Average gradients over the ±2 % dose corners as well as nominal
+    /// Average gradients over the model's `1 ± δ` dose corners
+    /// ([`LithoModel::dose_delta`], ±2 %) as well as nominal
     /// (process-window-aware descent, as MOSAIC does). Slower but yields a
     /// tighter PV band.
     pub process_window_aware: bool,
@@ -300,8 +301,10 @@ impl IltEngine {
                 .collect(),
         );
 
-        let doses: &[f32] =
-            if self.config.process_window_aware { &[0.98, 1.0, 1.02] } else { &[1.0] };
+        // The process-window doses, in `LithoModel::process_window` order.
+        let delta = self.model.dose_delta();
+        let corners = [1.0 - delta, 1.0, 1.0 + delta];
+        let doses: &[f32] = if self.config.process_window_aware { &corners } else { &[1.0] };
 
         let mut history = Vec::with_capacity(self.config.max_iterations);
         let mut best_p = p.clone();
@@ -547,6 +550,14 @@ mod tests {
         let target = cross_target();
         let result = engine.optimize(&target).unwrap();
         assert_eq!(result.l2_history.len(), result.iterations);
+    }
+
+    /// The corners `1 ∓ δ` are exactly the f32 doses 0.98 and 1.02, so
+    /// process-window-aware descent runs the doses it always ran.
+    #[test]
+    fn dose_corners_round_to_the_paper_doses() {
+        let delta = small_model().dose_delta();
+        assert_eq!([1.0 - delta, 1.0 + delta], [0.98f32, 1.02]);
     }
 
     #[test]

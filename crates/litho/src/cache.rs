@@ -10,9 +10,15 @@
 //!
 //! An entry is a v2 [`Checkpoint`] container, the workspace's one on-disk
 //! format: the kind tag `meta/kind`, the key `config/key`, the weights
-//! `socs/weights` (`[n]`) and the taps `socs/taps` (`[n, k, k, 2]`, real
-//! then imaginary part) as tensors, closed by the container's CRC-32
-//! trailer. The directory is shared, so an entry is outside input: it is
+//! `socs/weights` (`[n]`) and the real taps `socs/taps` (`[n, k, k]`) as
+//! tensors, closed by the container's CRC-32 trailer.
+//!
+//! Whoever can write the cache directory decides what every cached model
+//! computes, so entries are read and written only in a directory private
+//! to the running user: one they own and that neither group nor others can
+//! write. A missing directory is created with mode 0700; in any other
+//! directory the stack is derived and nothing there is touched. The
+//! default directory is per user. Even a private entry is checked: it is
 //! served only when its checksum holds and its key, shapes, kernel count
 //! and values fit what the configuration derives, and is rederived
 //! otherwise. Entries are read with `std::fs::read` and written with
@@ -21,7 +27,6 @@
 
 use crate::optics::OpticalConfig;
 use crate::socs::{SocsKernel, SocsKernels};
-use ganopc_fft::Complex;
 use ganopc_nn::checkpoint::Checkpoint;
 use ganopc_nn::Tensor;
 use std::path::{Path, PathBuf};
@@ -77,7 +82,6 @@ fn fields_key(mut h: u64, cfg: &OpticalConfig) -> u64 {
         cfg.kernel_size as u64,
         cfg.num_kernels as u64,
         cfg.pupil_grid as u64,
-        q(cfg.defocus_nm),
     ] {
         h = fnv1a(h, &v.to_le_bytes());
     }
@@ -94,8 +98,8 @@ static OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
 /// cache lookup (mirrors `pool::max_threads`).
 static ENV_DIR: OnceLock<PathBuf> = OnceLock::new();
 
-/// Default cache directory: `$GANOPC_CACHE_DIR` or
-/// `<system temp>/ganopc-kernel-cache`.
+/// Default cache directory: `$GANOPC_CACHE_DIR` or the per-user
+/// `<system temp>/ganopc-kernel-cache-<uid>`.
 ///
 /// A [`set_cache_dir`] override wins; otherwise the environment variable
 /// is read **once** per process and the resolved path is cached.
@@ -107,9 +111,13 @@ pub fn default_cache_dir() -> PathBuf {
     }
     ENV_DIR
         .get_or_init(|| {
-            std::env::var_os("GANOPC_CACHE_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| std::env::temp_dir().join("ganopc-kernel-cache"))
+            std::env::var_os("GANOPC_CACHE_DIR").map(PathBuf::from).unwrap_or_else(|| {
+                let name = match current_uid() {
+                    Some(uid) => format!("ganopc-kernel-cache-{uid}"),
+                    None => "ganopc-kernel-cache".into(),
+                };
+                std::env::temp_dir().join(name)
+            })
         })
         .clone()
 }
@@ -122,6 +130,48 @@ pub fn set_cache_dir(dir: Option<PathBuf>) {
     if let Ok(mut guard) = OVERRIDE.lock() {
         *guard = dir;
     }
+}
+
+/// The running user's id: on Linux the owner of `/proc/self`. `None` where
+/// that cannot be read, and then no directory counts as private.
+#[cfg(unix)]
+fn current_uid() -> Option<u32> {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata("/proc/self").ok().map(|meta| meta.uid())
+}
+
+/// Whether `dir` is a directory the running user owns and neither group
+/// nor others can write: the only kind the cache reads or writes.
+#[cfg(unix)]
+fn is_private(dir: &Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(dir).is_ok_and(|meta| {
+        meta.is_dir() && Some(meta.uid()) == current_uid() && meta.mode() & 0o022 == 0
+    })
+}
+
+/// Creates `dir` and its missing parents with mode 0700, which no umask
+/// can widen, and reports whether `dir` is then private. An existing `dir`
+/// is left as it is.
+#[cfg(unix)]
+fn create_private(dir: &Path) -> bool {
+    use std::os::unix::fs::DirBuilderExt;
+    std::fs::DirBuilder::new().recursive(true).mode(0o700).create(dir).is_ok() && is_private(dir)
+}
+
+#[cfg(not(unix))]
+fn current_uid() -> Option<u32> {
+    None
+}
+
+#[cfg(not(unix))]
+fn is_private(_dir: &Path) -> bool {
+    false
+}
+
+#[cfg(not(unix))]
+fn create_private(_dir: &Path) -> bool {
+    false
 }
 
 fn cache_path(dir: &Path, key: u64) -> PathBuf {
@@ -143,8 +193,8 @@ fn encode(key: u64, stack: &SocsKernels) -> Vec<u8> {
     let (n, size) = (stack.len(), stack.kernel_size());
     let kernels = stack.kernels();
     let weights = Tensor::from_vec(&[n], kernels.iter().map(|k| k.weight).collect());
-    let taps = kernels.iter().flat_map(|k| k.taps.iter().flat_map(|c| [c.re, c.im])).collect();
-    entry(key, weights, Tensor::from_vec(&[n, size, size, 2], taps))
+    let taps = kernels.iter().flat_map(|k| k.taps.iter().copied()).collect();
+    entry(key, weights, Tensor::from_vec(&[n, size, size], taps))
 }
 
 /// The stack a cache entry holds, if it is a well-formed entry under `key`
@@ -164,7 +214,7 @@ fn decode(bytes: &[u8], key: u64, cfg: &OpticalConfig) -> Option<SocsKernels> {
     let (n, size) = (weights.len(), cfg.kernel_size);
     let fits = (1..=cfg.num_kernels).contains(&n)
         && weights.shape() == [n]
-        && taps.shape() == [n, size, size, 2]
+        && taps.shape() == [n, size, size]
         && weights.as_slice().iter().chain(taps.as_slice()).all(|v| v.is_finite());
     if !fits {
         return None;
@@ -172,11 +222,8 @@ fn decode(bytes: &[u8], key: u64, cfg: &OpticalConfig) -> Option<SocsKernels> {
     let kernels = weights
         .as_slice()
         .iter()
-        .zip(taps.as_slice().chunks_exact(2 * size * size))
-        .map(|(&weight, taps)| SocsKernel {
-            weight,
-            taps: taps.chunks_exact(2).map(|t| Complex::new(t[0], t[1])).collect(),
-        })
+        .zip(taps.as_slice().chunks_exact(size * size))
+        .map(|(&weight, taps)| SocsKernel { weight, taps: taps.to_vec() })
         .collect();
     Some(SocsKernels::from_parts(size, cfg.pixel_nm, kernels))
 }
@@ -184,6 +231,8 @@ fn decode(bytes: &[u8], key: u64, cfg: &OpticalConfig) -> Option<SocsKernels> {
 /// Loads the kernel stack for `cfg` from `dir`, deriving and storing it on
 /// a miss. Corrupt, mismatched or foreign cache entries are silently
 /// rederived (and overwritten); cache I/O failures fall back to derivation.
+/// A `dir` that is not private to the running user is neither read nor
+/// written; a missing one is created private.
 ///
 /// # Panics
 ///
@@ -192,13 +241,14 @@ fn decode(bytes: &[u8], key: u64, cfg: &OpticalConfig) -> Option<SocsKernels> {
 pub fn load_or_derive(cfg: &OpticalConfig, dir: &Path) -> SocsKernels {
     let key = config_key(cfg);
     let path = cache_path(dir, key);
-    if let Ok(bytes) = std::fs::read(&path) {
-        if let Some(stack) = decode(&bytes, key, cfg) {
+    let private = is_private(dir);
+    if private {
+        if let Some(stack) = std::fs::read(&path).ok().and_then(|b| decode(&b, key, cfg)) {
             return stack;
         }
     }
     let stack = SocsKernels::from_config(cfg);
-    if std::fs::create_dir_all(dir).is_ok() {
+    if private || create_private(dir) {
         // Atomic write: a crash mid-store must not leave a truncated blob
         // that every later process re-reads, rejects, and rewrites.
         let _ = ganopc_geometry::io::write_atomic(&path, &encode(key, &stack));
@@ -217,10 +267,11 @@ mod tests {
         c
     }
 
+    /// A fresh, empty directory private to the running user.
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ganopc-cache-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        assert!(create_private(&dir));
         dir
     }
 
@@ -230,10 +281,23 @@ mod tests {
 
     /// Every weight and tap of a stack as bits, kernel by kernel.
     fn bits(stack: &SocsKernels) -> Vec<u32> {
-        let values = stack.kernels().iter().flat_map(|k| {
-            std::iter::once(k.weight).chain(k.taps.iter().flat_map(|c| [c.re, c.im]))
-        });
+        let values =
+            stack.kernels().iter().flat_map(|k| std::iter::once(k.weight).chain(k.taps.clone()));
         values.map(f32::to_bits).collect()
+    }
+
+    /// `stack` with every tap halved: an entry that decodes cleanly but is
+    /// not what the configuration derives.
+    fn halved(stack: &SocsKernels) -> SocsKernels {
+        let kernels = stack
+            .kernels()
+            .iter()
+            .map(|k| SocsKernel {
+                weight: k.weight,
+                taps: k.taps.iter().map(|t| t * 0.5).collect(),
+            })
+            .collect();
+        SocsKernels::from_parts(stack.kernel_size(), stack.pixel_nm(), kernels)
     }
 
     #[test]
@@ -243,10 +307,13 @@ mod tests {
         assert_eq!(default_cache_dir(), dir);
         set_cache_dir(None);
         // Back on the cached env/default resolution, which is stable for
-        // the life of the process.
+        // the life of the process and, by default, per user.
         let first = default_cache_dir();
         assert_ne!(first, dir);
         assert_eq!(first, default_cache_dir());
+        if let (None, Some(uid)) = (std::env::var_os("GANOPC_CACHE_DIR"), current_uid()) {
+            assert_eq!(first, std::env::temp_dir().join(format!("ganopc-kernel-cache-{uid}")));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -254,7 +321,7 @@ mod tests {
     fn keys_distinguish_configs() {
         let a = fast_cfg();
         let mut b = fast_cfg();
-        b.defocus_nm = 40.0;
+        b.sigma_inner = 0.5;
         let mut c = fast_cfg();
         c.num_kernels = 8;
         assert_ne!(config_key(&a), config_key(&b));
@@ -301,8 +368,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         // The leading kernel's center tap, stored as little-endian f32.
         let size = fresh.kernel_size();
-        let center = fresh.kernels()[0].taps[size * size / 2];
-        let tap = if center.re != 0.0 { center.re } else { center.im };
+        let tap = fresh.kernels()[0].taps[size * size / 2];
         assert_ne!(tap, 0.0);
         let at = bytes.windows(4).position(|w| w == tap.to_le_bytes()).expect("tap stored");
         bytes[at] ^= 1;
@@ -321,17 +387,17 @@ mod tests {
         let (key, n, size) = (config_key(&cfg), fresh.len(), cfg.kernel_size);
         let weights = |n: usize| Tensor::filled(&[n], 0.1);
         let taps = |shape: &[usize]| Tensor::filled(shape, 0.01);
-        let mut nan_taps = taps(&[n, size, size, 2]);
+        let mut nan_taps = taps(&[n, size, size]);
         nan_taps.as_mut_slice()[7] = f32::NAN;
         let misfits = [
-            ("even kernel size", entry(key, weights(n), taps(&[n, size - 1, size - 1, 2]))),
-            ("wider than the frame", entry(key, weights(n), taps(&[n, 99, 99, 2]))),
+            ("even kernel size", entry(key, weights(n), taps(&[n, size - 1, size - 1]))),
+            ("wider than the frame", entry(key, weights(n), taps(&[n, 99, 99]))),
             ("too many kernels", {
                 let m = cfg.num_kernels + 1;
-                entry(key, weights(m), taps(&[m, size, size, 2]))
+                entry(key, weights(m), taps(&[m, size, size]))
             }),
-            ("weights and taps disagree", entry(key, weights(n + 1), taps(&[n, size, size, 2]))),
-            ("flat taps", entry(key, weights(n), taps(&[n, size * size * 2]))),
+            ("weights and taps disagree", entry(key, weights(n + 1), taps(&[n, size, size]))),
+            ("flat taps", entry(key, weights(n), taps(&[n, size * size]))),
             ("a NaN tap", entry(key, weights(n), nan_taps)),
         ];
         for (what, bytes) in misfits {
@@ -351,20 +417,74 @@ mod tests {
         let fresh = SocsKernels::from_config(&cfg);
         let stale_key = fields_key(FNV_OFFSET, &cfg);
         assert_ne!(stale_key, config_key(&cfg));
-        let halved = fresh
-            .kernels()
-            .iter()
-            .map(|k| SocsKernel {
-                weight: k.weight,
-                taps: k.taps.iter().map(|c| Complex::new(c.re * 0.5, c.im)).collect(),
-            })
-            .collect();
-        let stale = SocsKernels::from_parts(fresh.kernel_size(), fresh.pixel_nm(), halved);
+        let stale = halved(&fresh);
         std::fs::write(cache_path(&dir, stale_key), encode(stale_key, &stale)).unwrap();
         let planted = decode(&std::fs::read(cache_path(&dir, stale_key)).unwrap(), stale_key, &cfg);
         assert!(!stacks_equal(&planted.expect("decodable"), &fresh));
         assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An entry in the layout that stored each tap as a complex pair
+    /// (`[n, k, k, 2]`), under the current key and holding this stack's
+    /// taps: it must be rederived, not served, and must not panic.
+    #[test]
+    fn complex_layout_entries_are_rederived() {
+        let dir = temp_dir("complex-layout");
+        let cfg = fast_cfg();
+        let fresh = SocsKernels::from_config(&cfg);
+        let (key, n, size) = (config_key(&cfg), fresh.len(), cfg.kernel_size);
+        let weights = Tensor::from_vec(&[n], fresh.kernels().iter().map(|k| k.weight).collect());
+        let pairs = fresh.kernels().iter().flat_map(|k| k.taps.iter().flat_map(|&t| [t, 0.0]));
+        let taps = Tensor::from_vec(&[n, size, size, 2], pairs.collect());
+        let old = entry(key, weights, taps);
+        assert!(decode(&old, key, &cfg).is_none());
+        std::fs::write(cache_path(&dir, key), &old).unwrap();
+        assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh));
+        // Rederived and stored over it in the current layout.
+        let stored = std::fs::read(cache_path(&dir, key)).unwrap();
+        assert!(stacks_equal(&decode(&stored, key, &cfg).expect("rewritten"), &fresh));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory others can write is not the cache's: an entry planted
+    /// there under the current key, with halved taps, is not served, and
+    /// the directory is left as it was.
+    #[cfg(unix)]
+    #[test]
+    fn entries_in_a_directory_others_can_write_are_not_served() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = temp_dir("shared");
+        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o777)).unwrap();
+        let cfg = fast_cfg();
+        let fresh = SocsKernels::from_config(&cfg);
+        let key = config_key(&cfg);
+        let planted = encode(key, &halved(&fresh));
+        std::fs::write(cache_path(&dir, key), &planted).unwrap();
+        assert!(stacks_equal(&load_or_derive(&cfg, &dir), &fresh));
+        assert_eq!(std::fs::read(cache_path(&dir, key)).unwrap(), planted);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A missing directory is created with mode 0700, whatever the umask,
+    /// and serves the entry stored in it.
+    #[cfg(unix)]
+    #[test]
+    fn a_missing_directory_is_created_private() {
+        use std::os::unix::fs::PermissionsExt;
+        let root = temp_dir("create");
+        let dir = root.join("nested").join("kernel-cache");
+        let cfg = fast_cfg();
+        let derived = load_or_derive(&cfg, &dir);
+        for d in [dir.as_path(), dir.parent().unwrap()] {
+            let mode = std::fs::metadata(d).unwrap().permissions().mode();
+            assert_eq!(mode & 0o777, 0o700, "{}", d.display());
+        }
+        assert!(is_private(&dir));
+        assert!(cache_path(&dir, config_key(&cfg)).exists());
+        assert!(stacks_equal(&load_or_derive(&cfg, &dir), &derived));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

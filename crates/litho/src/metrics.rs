@@ -34,43 +34,6 @@ pub fn pvb_nm2(inner: &Field, outer: &Field, pixel_nm: f64) -> f64 {
     px * pixel_nm * pixel_nm
 }
 
-/// Process-variability band over an arbitrary set of process corners
-/// (dose × focus): the area printed by *some* corner but not by *all*
-/// corners, in nm². With two models (nominal and defocused) and the
-/// standard ±δ doses this is the focus–exposure-matrix PVB.
-///
-/// # Panics
-///
-/// Panics when `models` is empty or frames disagree.
-pub fn pvb_over_corners(models: &[&LithoModel], mask: &Field, dose_delta: f32) -> f64 {
-    assert!(!models.is_empty(), "at least one model required");
-    let shape = models[0].shape();
-    let px = models[0].pixel_nm();
-    let mut union = Field::zeros(shape.0, shape.1);
-    let mut intersection = Field::filled(shape.0, shape.1, 1.0);
-    // One intensity buffer reused across every corner model.
-    let mut aerial = vec![0.0f32; shape.0 * shape.1];
-    for model in models {
-        assert_eq!(model.shape(), shape, "model frames disagree");
-        // PANIC: the shape was asserted against this model one line above.
-        model.aerial_image_into(mask, &mut aerial).expect("frame mismatch");
-        let th = model.threshold();
-        for dose in [1.0 - dose_delta, 1.0 + dose_delta] {
-            for (&i, (u, s)) in aerial
-                .iter()
-                .zip(union.as_mut_slice().iter_mut().zip(intersection.as_mut_slice().iter_mut()))
-            {
-                if dose * i >= th {
-                    *u = 1.0;
-                } else {
-                    *s = 0.0;
-                }
-            }
-        }
-    }
-    pvb_nm2(&intersection, &union, px)
-}
-
 /// 4-connected component labelling of a thresholded field.
 ///
 /// Returns `(labels, count)`: `labels[i] == 0` for background, else the
@@ -504,52 +467,6 @@ mod tests {
         let (v, m) = epe_violations(&wafer, &target, 1.0, &cfg);
         assert_eq!(v, m, "every measurement should fail");
         assert!(m > 0);
-    }
-
-    #[test]
-    fn pvb_over_corners_grows_with_defocus() {
-        use crate::OpticalConfig;
-        // 16 nm/px so dose bands span whole pixels.
-        let mut cfg = OpticalConfig::default_32nm(16.0);
-        cfg.pupil_grid = 11;
-        cfg.num_kernels = 6;
-        let nominal = crate::LithoModel::new(cfg.clone(), 128, 128).unwrap();
-        let defocused = crate::LithoModel::new(cfg.with_defocus(80.0), 128, 128).unwrap();
-        let mut mask = Field::zeros(128, 128);
-        for y in 32..96 {
-            for x in 58..70 {
-                mask.set(y, x, 1.0);
-            }
-        }
-        let dose_only = pvb_over_corners(&[&nominal], &mask, 0.05);
-        let with_focus = pvb_over_corners(&[&nominal, &defocused], &mask, 0.05);
-        assert!(dose_only > 0.0);
-        assert!(
-            with_focus >= dose_only,
-            "adding a focus corner cannot shrink the band: {with_focus} < {dose_only}"
-        );
-    }
-
-    #[test]
-    fn defocus_lowers_image_contrast() {
-        use crate::OpticalConfig;
-        let mut cfg = OpticalConfig::default_32nm(32.0);
-        cfg.pupil_grid = 11;
-        cfg.num_kernels = 6;
-        let nominal = crate::LithoModel::new(cfg.clone(), 64, 64).unwrap();
-        let defocused = crate::LithoModel::new(cfg.with_defocus(120.0), 64, 64).unwrap();
-        let mut mask = Field::zeros(64, 64);
-        for y in 16..48 {
-            for x in 29..34 {
-                mask.set(y, x, 1.0);
-            }
-        }
-        let peak_nominal = nominal.aerial_image(&mask).max();
-        let peak_defocused = defocused.aerial_image(&mask).max();
-        assert!(
-            peak_defocused < peak_nominal,
-            "defocus should blur the image: {peak_defocused} vs {peak_nominal}"
-        );
     }
 
     #[test]

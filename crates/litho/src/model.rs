@@ -4,22 +4,21 @@ use crate::optics::OpticalConfig;
 use crate::socs::SocsKernels;
 use crate::{Field, LithoError};
 use ganopc_fft::spectrum::{self, Split};
-use ganopc_fft::{Complex, RealFft2d};
+use ganopc_fft::RealFft2d;
 use ganopc_nn::pool;
 use ganopc_obs as obs;
 use std::cell::RefCell;
 
-/// One stored kernel component's buffers: its convolved field in tile
-/// layout (`p_k` for a real part, `q_k` for an imaginary one), then its
-/// weighted Eq. (14) adjoint half-spectrum in split planes.
+/// One SOCS kernel's buffers: its convolved field `A_k = M ⊗ h_k` in tile
+/// layout, then its weighted Eq. (14) adjoint half-spectrum in split planes.
 #[derive(Default)]
 struct KernelSlot {
     field: Vec<f32>,
     adjoint: Vec<f32>,
 }
 
-/// A thread's litho scratch: one slot per stored kernel component, then the
-/// per-call buffers. Frames are in [`RealFft2d`]'s tile layout and spectra
+/// A thread's litho scratch: one slot per SOCS kernel, then the per-call
+/// buffers. Frames are in [`RealFft2d`]'s tile layout and spectra
 /// in its split planes, so every move between them is one of the
 /// transform's own.
 struct Scratch {
@@ -39,8 +38,8 @@ thread_local! {
     /// and only grows (on a thread's first call, or for a larger model), so
     /// warm aerial and gradient evaluations neither allocate nor zero-fill.
     /// Thread-local because pre-training runs whole gradient evaluations
-    /// concurrently on crew workers, each needing its own; the component
-    /// jobs a call fans out write the calling thread's slots.
+    /// concurrently on crew workers, each needing its own; the kernel jobs
+    /// a call fans out write the calling thread's slots.
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
             kernels: Vec::new(),
@@ -66,7 +65,7 @@ fn mul_lanes(out: &mut [f32], g: &[f32], f: &[f32]) {
     }
 }
 
-/// `acc[i] += v[i]` bin by bin: one component's turn in the adjoint sum.
+/// `acc[i] += v[i]` bin by bin: one kernel's turn in the adjoint sum.
 // lint: hot-path
 fn add_lanes(acc: &mut [f32], v: &[f32]) {
     for (a, &c) in acc.iter_mut().zip(v) {
@@ -90,74 +89,45 @@ fn pixel_order_error(resid: &[f32], h: usize) -> f64 {
     error
 }
 
-/// A component's magnitude must clear this fraction of its kernel's peak to
-/// be stored; below it the component is f64→f32 rounding residue of an
-/// analytically-zero part (the eigenvector flip parity at nominal focus) and
-/// is dropped outright.
-const COMPONENT_DROP_RATIO: f32 = 1e-6;
-
-/// The parts of a kernel with taps `taps` that the model stores, real part
-/// first: those with some tap above [`COMPONENT_DROP_RATIO`] of the
-/// kernel's peak `max(|re|, |im|)`. At nominal focus every SOCS kernel keeps
-/// exactly one.
-fn stored_parts(taps: &[Complex]) -> impl Iterator<Item = fn(&Complex) -> f32> + '_ {
-    // A compare, not an `f32::max` fold, for the reason `Tensor::max_abs`
-    // gives.
-    let peak = taps.iter().fold(0.0f32, |m, c| {
-        let v = c.re.abs().max(c.im.abs());
-        if v > m {
-            v
-        } else {
-            m
-        }
-    });
-    let cutoff = peak * COMPONENT_DROP_RATIO;
-    let parts: [fn(&Complex) -> f32; 2] = [|c| c.re, |c| c.im];
-    parts.into_iter().filter(move |part| !taps.iter().all(|c| part(c).abs() <= cutoff))
-}
-
-/// The stored components of `stack` on `rfft`'s frame, in stack order: per
-/// kernel, `(w_k, split half-spectrum)` of each of its [`stored_parts`].
-/// Each part is a real frame holding the taps with the center tap at the
-/// origin, wrapped cyclically, so its spectrum is Hermitian and it
-/// convolves a real mask through the real-FFT engine. The stack's kernel
-/// size must be odd and no larger than the frame, as [`LithoModel::new`]
-/// and the cache ensure.
-fn component_spectra(stack: &SocsKernels, rfft: &RealFft2d) -> Vec<(f32, Vec<f32>)> {
+/// The kernels of `stack` on `rfft`'s frame, in stack order: per kernel,
+/// `(w_k, split half-spectrum)` of its real taps in a frame with the center
+/// tap at the origin, wrapped cyclically, so the spectrum is Hermitian and
+/// the kernel convolves a real mask through the real-FFT engine. The
+/// stack's kernel size must be odd and no larger than the frame, as
+/// [`LithoModel::new`] and the cache ensure.
+fn kernel_spectra(stack: &SocsKernels, rfft: &RealFft2d) -> Vec<(f32, Vec<f32>)> {
     let (h, w, slen) = (rfft.height(), rfft.width(), rfft.spectrum_len());
     let (size, half) = (stack.kernel_size(), stack.kernel_size() / 2);
-    let mut components = Vec::new();
-    for k in stack.kernels() {
-        for part in stored_parts(&k.taps) {
-            let mut frame = vec![0.0f32; h * w];
-            for (ky, row) in k.taps.chunks_exact(size).enumerate() {
-                let dy = (ky + h - half) % h;
-                for (kx, tap) in row.iter().enumerate() {
-                    frame[dy * w + (kx + w - half) % w] = part(tap);
-                }
+    let spectrum = |taps: &[f32]| {
+        let mut frame = vec![0.0f32; h * w];
+        for (ky, row) in taps.chunks_exact(size).enumerate() {
+            let dy = (ky + h - half) % h;
+            for (kx, &tap) in row.iter().enumerate() {
+                frame[dy * w + (kx + w - half) % w] = tap;
             }
-            let mut planes = vec![0.0f32; 2 * slen];
-            let (dst_re, dst_im) = planes.split_at_mut(slen);
-            rfft.forward_with(
-                |tile| tile.pack(&frame),
-                |re, im| {
-                    dst_re.copy_from_slice(re);
-                    dst_im.copy_from_slice(im);
-                },
-            );
-            components.push((k.weight, planes));
         }
-    }
-    components
+        let mut planes = vec![0.0f32; 2 * slen];
+        let (dst_re, dst_im) = planes.split_at_mut(slen);
+        rfft.forward_with(
+            |tile| tile.pack(&frame),
+            |re, im| {
+                dst_re.copy_from_slice(re);
+                dst_im.copy_from_slice(im);
+            },
+        );
+        planes
+    };
+    stack.kernels().iter().map(|k| (k.weight, spectrum(&k.taps))).collect()
 }
 
 /// A planned lithography simulator for one frame size.
 ///
-/// Holds the SOCS kernel stack as a flat list of stored components, each a
-/// frame-sized packed half-spectrum, the real-FFT plan, the calibrated
-/// resist threshold `I_th` and the sigmoid steepness `α` of Eq. (12). Its scratch is per thread and persistent, so
-/// after a warm-up call on each entry point, aerial-image and gradient
-/// evaluations perform zero heap allocation.
+/// Holds the SOCS kernel stack as a list of frame-sized packed
+/// half-spectra, one per kernel, the real-FFT plan, the calibrated resist
+/// threshold `I_th` and the sigmoid steepness `α` of Eq. (12). Its scratch
+/// is per thread and persistent, so after a warm-up call on each entry
+/// point, aerial-image and gradient evaluations perform zero heap
+/// allocation.
 ///
 /// ```
 /// use ganopc_litho::{Field, LithoModel};
@@ -174,14 +144,11 @@ pub struct LithoModel {
     height: usize,
     width: usize,
     rfft: RealFft2d,
-    /// Number of SOCS kernels `N_h` in the stack.
-    num_kernels: usize,
-    /// `(w_k, split half-spectrum)` per stored kernel component, from
-    /// [`component_spectra`].
-    components: Vec<(f32, Vec<f32>)>,
+    /// `(w_k, split half-spectrum)` per SOCS kernel, from
+    /// [`kernel_spectra`].
+    kernels: Vec<(f32, Vec<f32>)>,
     threshold: f32,
     sigmoid_alpha: f32,
-    dose_delta: f32,
 }
 
 impl LithoModel {
@@ -189,8 +156,8 @@ impl LithoModel {
     /// not publish its value; 50 on a unit-normalized intensity scale gives
     /// a resist transition ≈ 4 % of the open-field intensity wide.
     pub const DEFAULT_SIGMOID_ALPHA: f32 = 50.0;
-    /// Dose excursion for the process-variability band (paper: ±2 %).
-    pub const DEFAULT_DOSE_DELTA: f32 = 0.02;
+    /// Dose excursion δ of the process window (paper: ±2 %).
+    pub const DOSE_DELTA: f32 = 0.02;
 
     /// Builds a model on a square `size × size` frame emulating the
     /// ICCAD-2013 setup: the frame represents a 2048 nm clip, so the pixel
@@ -270,17 +237,15 @@ impl LithoModel {
             SocsKernels::from_config(&cfg)
         };
         let rfft = RealFft2d::new(height, width)?;
-        let components = component_spectra(&stack, &rfft);
+        let kernels = kernel_spectra(&stack, &rfft);
         let mut model = LithoModel {
             cfg,
             height,
             width,
             rfft,
-            num_kernels: stack.len(),
-            components,
+            kernels,
             threshold: 0.3,
             sigmoid_alpha: Self::DEFAULT_SIGMOID_ALPHA,
-            dose_delta: Self::DEFAULT_DOSE_DELTA,
         };
         model.threshold = model.calibrate_threshold()?;
         Ok(model)
@@ -357,10 +322,10 @@ impl LithoModel {
         self.sigmoid_alpha = alpha;
     }
 
-    /// The PVB dose excursion (fraction, default 0.02).
+    /// The PVB dose excursion δ (fraction): [`LithoModel::DOSE_DELTA`].
     #[inline]
     pub fn dose_delta(&self) -> f32 {
-        self.dose_delta
+        Self::DOSE_DELTA
     }
 
     /// Simulation pixel pitch, nm.
@@ -372,7 +337,7 @@ impl LithoModel {
     /// Number of SOCS kernels in use.
     #[inline]
     pub fn num_kernels(&self) -> usize {
-        self.num_kernels
+        self.kernels.len()
     }
 
     fn check_shape(&self, field: &Field) -> Result<(), LithoError> {
@@ -385,25 +350,25 @@ impl LithoModel {
         Ok(())
     }
 
-    /// Component `c`'s half-spectrum as split planes.
+    /// Kernel `k`'s half-spectrum as split planes.
     #[inline]
-    fn spectrum(&self, c: usize) -> Split<'_> {
-        let planes = &self.components[c].1;
+    fn spectrum(&self, k: usize) -> Split<'_> {
+        let planes = &self.kernels[k].1;
         planes.split_at(planes.len() / 2)
     }
 
     /// Runs `f` on this thread's scratch, grown to this model: one slot per
-    /// stored component, split spectrum planes for the mask and the adjoint
+    /// kernel, split spectrum planes for the mask and the adjoint
     /// sum, and tile-layout frames for the intensity and `g`. The slots' own
     /// buffers grow in the jobs that first write them.
     fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
         let (n, slen) = (self.height * self.width, self.rfft.spectrum_len());
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            if scratch.kernels.len() < self.components.len() {
+            if scratch.kernels.len() < self.kernels.len() {
                 // ALLOC: one-time growth of the persistent per-thread slot
-                // list (one entry per stored component, ~24).
-                scratch.kernels.resize_with(self.components.len(), KernelSlot::default);
+                // list (one entry per kernel, ~24).
+                scratch.kernels.resize_with(self.kernels.len(), KernelSlot::default);
             }
             // Resizing to an unchanged length touches nothing.
             scratch.mask.resize(2 * slen, 0.0);
@@ -415,7 +380,7 @@ impl LithoModel {
     }
 
     /// Packed half-spectrum of a real mask into split planes, reused across
-    /// components.
+    /// kernels.
     // lint: hot-path
     fn mask_spectrum(&self, mask: &Field, spectrum: &mut [f32]) {
         let (dst_re, dst_im) = spectrum.split_at_mut(self.rfft.spectrum_len());
@@ -428,29 +393,28 @@ impl LithoModel {
         );
     }
 
-    /// Per-component convolved fields from the mask's half-spectrum: the
-    /// real and imaginary parts `p_k`, `q_k` of `A_k = M ⊗ h_k`, each one
-    /// inverse transform entered by the spectral product `M̂ ⊙ R_k` (or
-    /// `M̂ ⊙ I_k`) whose row pass runs in the slot's own field. Component
+    /// Per-kernel convolved fields `A_k = M ⊗ h_k` from the mask's
+    /// half-spectrum, each one inverse transform entered by the spectral
+    /// product `M̂ ⊙ H_k` whose row pass runs in the slot's own field. Kernel
     /// indices fan out over the shared worker pool (capped by
     /// `GANOPC_THREADS`) through the allocation-free [`pool::run_chunks`]
-    /// path; slot `c` receives component `c`, so downstream reductions walk
-    /// the slots in stack order regardless of the worker count.
+    /// path; slot `k` receives kernel `k`, so downstream reductions walk the
+    /// slots in stack order regardless of the worker count.
     // lint: hot-path
     fn convolved_fields_into(&self, mask: Split<'_>, slots: &mut [KernelSlot]) {
         let (n, hw) = (self.height * self.width, self.rfft.half_width());
-        let slots = pool::DisjointMut::new(&mut slots[..self.components.len()]);
-        pool::run_chunks(self.components.len(), |components| {
-            for c in components {
-                // SAFETY: run_chunks component ranges partition the slot
-                // list, so slot c is written by exactly this chunk.
-                let field = &mut unsafe { slots.index_mut(c) }.field;
-                let comp = self.spectrum(c);
+        let slots = pool::DisjointMut::new(&mut slots[..self.kernels.len()]);
+        pool::run_chunks(self.kernels.len(), |kernels| {
+            for k in kernels {
+                // SAFETY: run_chunks kernel ranges partition the slot list,
+                // so slot k is written by exactly this chunk.
+                let field = &mut unsafe { slots.index_mut(k) }.field;
+                let kernel = self.spectrum(k);
                 // ALLOC: one-time growth of this slot's persistent field.
                 field.resize(n, 0.0);
                 self.rfft.inverse_into(
                     |ky, re, im| {
-                        spectrum::mul_split((re, im), row(mask, ky, hw), row(comp, ky, hw));
+                        spectrum::mul_split((re, im), row(mask, ky, hw), row(kernel, ky, hw));
                     },
                     field,
                 );
@@ -458,14 +422,14 @@ impl LithoModel {
         });
     }
 
-    /// Writes the intensity `Σ_k w_k (p_k² + q_k²)` of the tile-layout
-    /// frame elements `first .. first + out.len()` into `out`. Each pixel
-    /// starts from zero and adds the components in stack order, so its bits
-    /// do not depend on how the frame was split into ranges.
+    /// Writes the intensity `Σ_k w_k A_k²` of the tile-layout frame elements
+    /// `first .. first + out.len()` into `out`. Each pixel starts from zero
+    /// and adds the kernels in stack order, so its bits do not depend on how
+    /// the frame was split into ranges.
     // lint: hot-path
     fn intensity_rows(&self, slots: &[KernelSlot], first: usize, out: &mut [f32]) {
         out.fill(0.0);
-        for ((w, _), slot) in self.components.iter().zip(slots) {
+        for ((w, _), slot) in self.kernels.iter().zip(slots) {
             for (acc, &v) in out.iter_mut().zip(&slot.field[first..]) {
                 *acc += w * v * v;
             }
@@ -553,7 +517,7 @@ impl LithoModel {
         // buffer was sized to the frame above.
         self.aerial_image_into(mask, &mut nominal).expect("mask shape mismatch");
         let th = self.threshold;
-        let (lo, hi) = (1.0 - self.dose_delta, 1.0 + self.dose_delta);
+        let (lo, hi) = (1.0 - Self::DOSE_DELTA, 1.0 + Self::DOSE_DELTA);
         for ((pn, pi), po) in nominal.iter_mut().zip(inner.iter_mut()).zip(outer.iter_mut()) {
             let i = *pn;
             *pi = if lo * i >= th { 1.0 } else { 0.0 };
@@ -622,7 +586,7 @@ impl LithoModel {
         let (slen, hw) = (self.rfft.spectrum_len(), self.rfft.half_width());
         self.with_scratch(|scratch| {
             let Scratch { kernels, mask: mask_spec, image: resid, g, sum } = scratch;
-            let kernels = &mut kernels[..self.components.len()];
+            let kernels = &mut kernels[..self.kernels.len()];
             self.mask_spectrum(mask, mask_spec);
             self.convolved_fields_into(mask_spec.split_at(slen), kernels);
 
@@ -660,37 +624,36 @@ impl LithoModel {
                 }
             });
 
-            // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
-            // A_k = p + i·q and H_k = R + i·I (half-spectra of the kernel's real
-            // components), the real part collapses to a Hermitian inverse, and
-            // because c2r is linear the components share one:
-            // grad = c2r( Σ_k 2w_k P_k ⊙ conj(R_k) + 2w_k Q_k ⊙ conj(I_k) ),
-            // P_k = r2c(g⊙p_k), Q_k = r2c(g⊙q_k) — one c2r per gradient instead
-            // of one per component. Each forward transform is entered by
-            // writing g ⊙ p straight into the tile and left by forming the
-            // weighted product `2w · P ⊙ conj(R)` from the column planes into
-            // the component's slot. Component indices fan out over the pool,
-            // as jobs 1.. of one dispatch whose job 0 sums the error; the sum
-            // below fans out over spectrum rows, and every bin adds the
-            // components in stack order, so the gradient bits do not depend
-            // on how many workers ran.
+            // grad = Σ_k w_k · 2 IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ), with H_k
+            // the half-spectrum of kernel k's real taps. Every term is the
+            // spectrum of a real frame, and because c2r is linear the kernels
+            // share one inverse: grad = c2r( Σ_k 2w_k P_k ⊙ conj(H_k) ),
+            // P_k = r2c(g ⊙ A_k) — one c2r per gradient instead of one per
+            // kernel. Each forward transform is entered by writing g ⊙ A_k
+            // straight into the tile and left by forming the weighted product
+            // `2w_k · P_k ⊙ conj(H_k)` from the column planes into the
+            // kernel's slot. Kernel indices fan out over the pool, as jobs
+            // 1.. of one dispatch whose job 0 sums the error; the sum below
+            // fans out over spectrum rows, and every bin adds the kernels in
+            // stack order, so the gradient bits do not depend on how many
+            // workers ran.
             let (g_even, g_odd) = g.split_at(m * h);
             let resid = &resid[..];
             let mut error = 0.0f64;
             let error_slot = pool::DisjointMut::new(std::slice::from_mut(&mut error));
             let slots = pool::DisjointMut::new(&mut kernels[..]);
-            pool::run_chunks(1 + self.components.len(), |jobs| {
+            pool::run_chunks(1 + self.kernels.len(), |jobs| {
                 for job in jobs {
-                    let Some(c) = job.checked_sub(1) else {
+                    let Some(k) = job.checked_sub(1) else {
                         // SAFETY: only job 0 writes the error, and run_chunks
                         // runs each job exactly once.
                         *unsafe { error_slot.index_mut(0) } = pixel_order_error(resid, h);
                         continue;
                     };
                     // SAFETY: run_chunks job ranges partition the jobs, so
-                    // slot c is owned by exactly this chunk.
-                    let slot = unsafe { slots.index_mut(c) };
-                    let (scale, comp) = (2.0 * self.components[c].0, self.spectrum(c));
+                    // slot k is owned by exactly this chunk.
+                    let slot = unsafe { slots.index_mut(k) };
+                    let (scale, kernel) = (2.0 * self.kernels[k].0, self.spectrum(k));
                     // ALLOC: one-time growth of this slot's persistent spectrum.
                     slot.adjoint.resize(2 * slen, 0.0);
                     let (adj_re, adj_im) = slot.adjoint.split_at_mut(slen);
@@ -704,7 +667,7 @@ impl LithoModel {
                             })
                         },
                         |p_re, p_im| {
-                            spectrum::mul_conj_split((adj_re, adj_im), (p_re, p_im), comp, scale)
+                            spectrum::mul_conj_split((adj_re, adj_im), (p_re, p_im), kernel, scale)
                         },
                     );
                 }
@@ -966,40 +929,18 @@ mod tests {
         assert!(th > 0.01 && th < 1.0, "threshold {th}");
     }
 
-    /// The property the in-focus bit-identity rests on: at nominal focus,
-    /// every kernel of the stacks the benchmark and the pinned runs derive
-    /// keeps exactly one component, so each kernel is one entry of the
-    /// component list.
-    #[test]
-    fn every_in_focus_kernel_keeps_one_component() {
-        for (size, kernels) in [(128usize, 24usize), (64, 12), (32, 12), (32, 24)] {
-            let mut cfg = OpticalConfig::default_32nm(2048.0 / size as f64);
-            cfg.num_kernels = kernels;
-            let stack = SocsKernels::from_config(&cfg);
-            for (k, kernel) in stack.kernels().iter().enumerate() {
-                let stored = stored_parts(&kernel.taps).count();
-                assert_eq!(stored, 1, "{size} px, {kernels} kernels: kernel {k} keeps {stored}");
-            }
-        }
-        // Out of focus the rule keeps both parts, so the count can read 2.
-        let cfg = small_config().with_defocus(60.0);
-        let stack = SocsKernels::from_config(&cfg);
-        assert!(stack.kernels().iter().any(|k| stored_parts(&k.taps).count() == 2));
-    }
-
-    /// A kernel's parts become spectra of frames with the center tap at the
-    /// origin: a lone real center tap `t` has the flat spectrum `t`, and
-    /// its zero imaginary part is not stored.
+    /// A kernel becomes the spectrum of a frame with its center tap at the
+    /// origin: a lone center tap `t` has the flat spectrum `t`.
     #[test]
     fn a_center_tap_is_a_flat_spectrum() {
-        let mut taps = vec![Complex::ZERO; 9];
-        taps[4] = Complex::from_real(7.0);
+        let mut taps = vec![0.0f32; 9];
+        taps[4] = 7.0;
         let kernel = crate::socs::SocsKernel { weight: 0.5, taps };
         let stack = SocsKernels::from_parts(3, 16.0, vec![kernel]);
         let rfft = RealFft2d::new(8, 8).unwrap();
-        let components = component_spectra(&stack, &rfft);
-        assert_eq!(components.len(), 1);
-        let (weight, planes) = &components[0];
+        let spectra = kernel_spectra(&stack, &rfft);
+        assert_eq!(spectra.len(), 1);
+        let (weight, planes) = &spectra[0];
         assert_eq!(*weight, 0.5);
         let (re, im) = planes.split_at(rfft.spectrum_len());
         assert!(re.iter().all(|&v| v == 7.0), "{re:?}");

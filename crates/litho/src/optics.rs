@@ -4,7 +4,9 @@
 /// simulation grid.
 ///
 /// Defaults model a 193 nm immersion scanner with annular illumination —
-/// the technology the ICCAD-2013 contest kit (32 nm M1) represents.
+/// the technology the ICCAD-2013 contest kit (32 nm M1) represents. The
+/// system images at nominal focus, as the paper's does: its process window
+/// varies the dose only.
 ///
 /// ```
 /// use ganopc_litho::OpticalConfig;
@@ -31,10 +33,6 @@ pub struct OpticalConfig {
     pub num_kernels: usize,
     /// Pupil-frequency samples per axis for TCC assembly (odd).
     pub pupil_grid: usize,
-    /// Defocus Δz in nm. Nonzero defocus makes the pupil complex (paraxial
-    /// quadratic phase) and degrades image contrast — used for focus-aware
-    /// process windows.
-    pub defocus_nm: f64,
 }
 
 impl OpticalConfig {
@@ -60,14 +58,7 @@ impl OpticalConfig {
             kernel_size,
             num_kernels: 24,
             pupil_grid: 15,
-            defocus_nm: 0.0,
         }
-    }
-
-    /// The same system at a defocus offset Δz (nm).
-    pub fn with_defocus(mut self, defocus_nm: f64) -> Self {
-        self.defocus_nm = defocus_nm;
-        self
     }
 
     /// Pupil cutoff frequency NA/λ, cycles per nm.
@@ -108,9 +99,6 @@ impl OpticalConfig {
         }
         if self.pupil_grid.is_multiple_of(2) || self.pupil_grid < 5 {
             return Err(format!("pupil grid {} must be odd and >= 5", self.pupil_grid));
-        }
-        if !self.defocus_nm.is_finite() || self.defocus_nm.abs() > 500.0 {
-            return Err(format!("defocus {} nm outside the paraxial range", self.defocus_nm));
         }
         Ok(())
     }
@@ -165,14 +153,5 @@ mod tests {
     #[should_panic(expected = "pixel pitch must be positive")]
     fn rejects_nonpositive_pixel() {
         let _ = OpticalConfig::default_32nm(0.0);
-    }
-
-    #[test]
-    fn defocus_builder_and_validation() {
-        let cfg = OpticalConfig::default_32nm(8.0).with_defocus(60.0);
-        assert_eq!(cfg.defocus_nm, 60.0);
-        assert!(cfg.validate().is_ok());
-        let bad = OpticalConfig::default_32nm(8.0).with_defocus(1e4);
-        assert!(bad.validate().is_err());
     }
 }

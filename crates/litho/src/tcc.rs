@@ -9,14 +9,11 @@
 //!
 //! where `J` is the source intensity distribution and `P` the pupil
 //! function. Sampling mask frequencies `f` on a grid restricted to the pupil
-//! disk turns `TCC` into a Hermitian PSD matrix whose leading eigenpairs
-//! give the SOCS kernels of Eq. (2) — the same construction Cobb's thesis
-//! [20 in the paper] uses to derive production OPC kernels.
-//!
-//! At nominal focus the pupil is real, the TCC is real symmetric and a
-//! plain Jacobi sweep suffices. With defocus the pupil carries a quadratic
-//! phase, the TCC becomes complex Hermitian, and we eigendecompose it
-//! through the standard real embedding `[[A, −B], [B, A]]` of `H = A + iB`.
+//! disk turns `TCC` into a PSD matrix whose leading eigenpairs give the SOCS
+//! kernels of Eq. (2) — the same construction Cobb's thesis [20 in the
+//! paper] uses to derive production OPC kernels. At nominal focus the pupil
+//! is real, so the TCC is real symmetric and a plain Jacobi sweep
+//! decomposes it.
 
 use crate::jacobi::{eigendecompose, SymMatrix};
 use crate::optics::OpticalConfig;
@@ -38,26 +35,20 @@ pub struct TccDecomposition {
     pub samples: Vec<FreqSample>,
     /// Eigenvalues, descending (all ≥ 0 up to rounding).
     pub eigenvalues: Vec<f64>,
-    /// Eigenvectors; `eigenvectors[k][j]` is the complex `(re, im)`
-    /// coefficient of sample `j` in kernel `k`. Imaginary parts are zero at
-    /// nominal focus.
-    pub eigenvectors: Vec<Vec<(f64, f64)>>,
+    /// Eigenvectors; `eigenvectors[k][j]` is the coefficient of sample `j`
+    /// in kernel `k`.
+    pub eigenvectors: Vec<Vec<f64>>,
 }
 
-/// Complex pupil at a normalized frequency: circular aperture with the
-/// paraxial defocus phase `exp(iπ·Δz·NA²·|u|²/λ)`.
+/// Pupil at a normalized frequency: the circular aperture, 1 inside the
+/// unit disk and 0 outside.
 #[inline]
-fn pupil(cfg: &OpticalConfig, ux: f64, uy: f64) -> (f64, f64) {
-    let r2 = ux * ux + uy * uy;
-    if r2 > 1.0 {
-        return (0.0, 0.0);
+fn pupil(ux: f64, uy: f64) -> f64 {
+    if ux * ux + uy * uy > 1.0 {
+        0.0
+    } else {
+        1.0
     }
-    if cfg.defocus_nm == 0.0 {
-        return (1.0, 0.0);
-    }
-    let na = cfg.numerical_aperture;
-    let phase = std::f64::consts::PI * cfg.defocus_nm * na * na * r2 / cfg.wavelength_nm;
-    (phase.cos(), phase.sin())
 }
 
 /// Enumerates the normalized frequency grid samples inside the pupil disk.
@@ -104,34 +95,22 @@ fn source_samples(cfg: &OpticalConfig) -> Vec<(f64, f64, f64)> {
     pts
 }
 
-/// Assembles the Hermitian TCC over the in-pupil frequency samples as real
-/// and imaginary parts `H = A + iB` (`A` symmetric, `B` antisymmetric; `B`
-/// is zero at nominal focus).
-pub fn build_tcc(cfg: &OpticalConfig) -> (Vec<FreqSample>, SymMatrix, Vec<f64>) {
+/// Assembles the real symmetric TCC over the in-pupil frequency samples.
+pub fn build_tcc(cfg: &OpticalConfig) -> (Vec<FreqSample>, SymMatrix) {
     let samples = pupil_samples(cfg);
     let source = source_samples(cfg);
-    let n = samples.len();
-    let mut re = SymMatrix::zeros(n);
-    // Antisymmetric imaginary part stored dense row-major.
-    let mut im = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in i..n {
-            let (fi, fj) = (samples[i], samples[j]);
-            let mut acc_re = 0.0;
-            let mut acc_im = 0.0;
+    let mut tcc = SymMatrix::zeros(samples.len());
+    for (i, fi) in samples.iter().enumerate() {
+        for (j, fj) in samples.iter().enumerate().skip(i) {
+            let mut acc = 0.0;
             for &(sx, sy, wgt) in &source {
-                let (p1r, p1i) = pupil(cfg, sx + fi.ux, sy + fi.uy);
-                let (p2r, p2i) = pupil(cfg, sx + fj.ux, sy + fj.uy);
-                // J · P(s+f1) · conj(P(s+f2))
-                acc_re += wgt * (p1r * p2r + p1i * p2i);
-                acc_im += wgt * (p1i * p2r - p1r * p2i);
+                // J · P(s+f1) · P(s+f2)
+                acc += wgt * (pupil(sx + fi.ux, sy + fi.uy) * pupil(sx + fj.ux, sy + fj.uy));
             }
-            re.set_sym(i, j, acc_re);
-            im[i * n + j] = acc_im;
-            im[j * n + i] = -acc_im;
+            tcc.set_sym(i, j, acc);
         }
     }
-    (samples, re, im)
+    (samples, tcc)
 }
 
 /// Builds and eigendecomposes the TCC for an optical configuration.
@@ -147,64 +126,17 @@ pub fn build_tcc(cfg: &OpticalConfig) -> (Vec<FreqSample>, SymMatrix, Vec<f64>) 
 /// assert!(dec.eigenvalues.windows(2).all(|w| w[0] >= w[1]));
 /// ```
 pub fn decompose(cfg: &OpticalConfig) -> TccDecomposition {
-    let (samples, re, im) = build_tcc(cfg);
-    let n = samples.len();
-    let hermitian = im.iter().any(|&v| v.abs() > 1e-14);
-
-    let (values, vectors): (Vec<f64>, Vec<Vec<(f64, f64)>>) = if !hermitian {
-        let pairs = eigendecompose(&re, 1e-12, 40);
-        let values = pairs.iter().map(|p| p.value).collect();
-        let vectors =
-            pairs.into_iter().map(|p| p.vector.into_iter().map(|x| (x, 0.0)).collect()).collect();
-        (values, vectors)
-    } else {
-        // Real embedding of H = A + iB:  M = [[A, -B], [B, A]], size 2n.
-        // Each eigenvalue of H appears twice in M; the eigenvector halves
-        // (x; y) recombine into the complex eigenvector v = x + iy.
-        let mut m = SymMatrix::zeros(2 * n);
-        for i in 0..n {
-            for j in 0..n {
-                let a = re.get(i, j);
-                let b = im[i * n + j];
-                m.set_sym(i, j, a);
-                m.set_sym(n + i, n + j, a);
-                // -B in the upper-right block; B in the lower-left. M is
-                // symmetric because B is antisymmetric.
-                if i <= j {
-                    m.set_sym(i, n + j, -b);
-                    m.set_sym(j, n + i, b);
-                }
-            }
-        }
-        let pairs = eigendecompose(&m, 1e-12, 60);
-        // Deduplicate the doubled spectrum: walk in descending order and
-        // skip every second member of each (numerically) equal pair.
-        let mut values = Vec::new();
-        let mut vectors: Vec<Vec<(f64, f64)>> = Vec::new();
-        let mut skip_next_match: Option<f64> = None;
-        for p in pairs {
-            if let Some(prev) = skip_next_match {
-                if (p.value - prev).abs() <= 1e-9 * prev.abs().max(1.0) {
-                    skip_next_match = None;
-                    continue;
-                }
-            }
-            skip_next_match = Some(p.value);
-            values.push(p.value);
-            vectors.push((0..n).map(|i| (p.vector[i], p.vector[n + i])).collect());
-        }
-        (values, vectors)
-    };
-
-    let lead = values.first().copied().unwrap_or(0.0).max(f64::MIN_POSITIVE);
+    let (samples, tcc) = build_tcc(cfg);
+    let pairs = eigendecompose(&tcc, 1e-12, 40);
+    let lead = pairs.first().map_or(0.0, |p| p.value).max(f64::MIN_POSITIVE);
     let mut eigenvalues = Vec::new();
     let mut eigenvectors = Vec::new();
-    for (v, vec) in values.into_iter().zip(vectors) {
-        if eigenvalues.len() == cfg.num_kernels || v <= 1e-9 * lead {
+    for p in pairs {
+        if eigenvalues.len() == cfg.num_kernels || p.value <= 1e-9 * lead {
             break;
         }
-        eigenvalues.push(v);
-        eigenvectors.push(vec);
+        eigenvalues.push(p.value);
+        eigenvectors.push(p.vector);
     }
     TccDecomposition { samples, eigenvalues, eigenvectors }
 }
@@ -234,9 +166,7 @@ mod tests {
 
     #[test]
     fn tcc_is_psd_and_normalized() {
-        let (_samples, m, im) = build_tcc(&cfg());
-        // At nominal focus the imaginary part vanishes.
-        assert!(im.iter().all(|&v| v.abs() < 1e-14));
+        let (_samples, m) = build_tcc(&cfg());
         // Diagonal entries are source integrals over shifted pupils → in [0,1].
         for i in 0..m.dim() {
             let d = m.get(i, i);
@@ -278,66 +208,6 @@ mod tests {
         let b = decompose(&cfg());
         assert_eq!(a.eigenvalues, b.eigenvalues);
         assert_eq!(a.eigenvectors, b.eigenvectors);
-    }
-
-    #[test]
-    fn nominal_focus_vectors_are_real() {
-        let dec = decompose(&cfg());
-        for v in &dec.eigenvectors {
-            assert!(v.iter().all(|&(_, im)| im == 0.0));
-        }
-    }
-
-    #[test]
-    fn defocus_produces_hermitian_tcc_with_complex_kernels() {
-        let c = cfg().with_defocus(80.0);
-        let (_s, _re, im) = build_tcc(&c);
-        assert!(im.iter().any(|&v| v.abs() > 1e-9), "defocus left TCC real");
-        let dec = decompose(&c);
-        assert!(!dec.eigenvalues.is_empty());
-        // Eigenvalues still nonnegative and descending.
-        for w in dec.eigenvalues.windows(2) {
-            assert!(w[0] >= w[1] - 1e-9);
-        }
-        assert!(dec.eigenvalues.iter().all(|&v| v >= -1e-9));
-        // At least one kernel coefficient picks up an imaginary part.
-        let any_complex = dec.eigenvectors.iter().flatten().any(|&(_, im)| im.abs() > 1e-9);
-        assert!(any_complex, "defocused kernels should be complex");
-    }
-
-    #[test]
-    fn defocus_embedding_satisfies_eigen_equation() {
-        // Verify H v = λ v for the complex decomposition.
-        let c = cfg().with_defocus(60.0);
-        let (samples, re, im) = build_tcc(&c);
-        let n = samples.len();
-        let dec = decompose(&c);
-        for (k, (&lambda, vec)) in dec.eigenvalues.iter().zip(&dec.eigenvectors).enumerate().take(4)
-        {
-            for i in 0..n {
-                let mut hr = 0.0;
-                let mut hi = 0.0;
-                for j in 0..n {
-                    let a = re.get(i, j);
-                    let b = im[i * n + j];
-                    let (vr, vi) = vec[j];
-                    // (a + ib)(vr + ivi)
-                    hr += a * vr - b * vi;
-                    hi += a * vi + b * vr;
-                }
-                let (vr, vi) = vec[i];
-                assert!(
-                    (hr - lambda * vr).abs() < 1e-6,
-                    "kernel {k} row {i}: re {hr} vs {}",
-                    lambda * vr
-                );
-                assert!(
-                    (hi - lambda * vi).abs() < 1e-6,
-                    "kernel {k} row {i}: im {hi} vs {}",
-                    lambda * vi
-                );
-            }
-        }
     }
 
     #[test]

@@ -6,31 +6,28 @@
 //! unpack a per-kernel field. None of that may move a bit. The reference
 //! below is the pipeline those moves replaced, built only from public calls:
 //!
-//! * kernel spectra from the raw [`SocsKernels::from_config`] taps, embedded
-//!   with the center tap at the origin, split into real and imaginary
-//!   components (a component under `1e-6 ×` the kernel's peak is dropped),
-//!   each through the interleaved [`RealFft2d::forward`];
-//! * per kernel component, `mul_into` with the mask spectrum and an
-//!   interleaved [`RealFft2d::inverse`] into an image-layout field;
-//! * the intensity from zero in kernel order, real component before
-//!   imaginary, the resist sweep in image layout, and the error `Σ d²` in
-//!   f64 in pixel order;
-//! * per kernel component, `r2c(g ⊙ p)`, `mul_conj_into` and the `2w`
-//!   scale, the adjoint sum from zero in stack order, and one interleaved
-//!   inverse into the gradient.
+//! * kernel spectra from the raw [`SocsKernels::from_config`] taps,
+//!   embedded with the center tap at the origin, each through the
+//!   interleaved [`RealFft2d::forward`];
+//! * per kernel, `mul_into` with the mask spectrum and an interleaved
+//!   [`RealFft2d::inverse`] into an image-layout field;
+//! * the intensity from zero in kernel order, the resist sweep in image
+//!   layout, and the error `Σ d²` in f64 in pixel order;
+//! * per kernel, `r2c(g ⊙ a)`, `mul_conj_into` and the `2w` scale, the
+//!   adjoint sum from zero in stack order, and one interleaved inverse into
+//!   the gradient.
 //!
-//! It runs in focus (one component per kernel) and 60 nm out of focus (two),
-//! at 64 px with 12 kernels and at 128 px with 4, at doses 1 and 0.98.
+//! It runs at 64 px with 12 kernels and at 128 px with 4, at doses 1 and
+//! 0.98.
 
 use ganopc_fft::spectrum::{mul_conj_into, mul_into};
 use ganopc_fft::{Complex, RealFft2d};
 use ganopc_litho::{Field, LithoModel, OpticalConfig, SocsKernels};
 
-/// One kernel of the reference: its weight and the interleaved
-/// half-spectra of its stored components, real part first.
+/// One kernel of the reference: its weight and interleaved half-spectrum.
 struct Kernel {
     weight: f32,
-    components: Vec<Vec<Complex>>,
+    spectrum: Vec<Complex>,
 }
 
 /// The reference kernel stack of `model`, from the raw taps.
@@ -42,7 +39,7 @@ fn kernels(model: &LithoModel, plan: &RealFft2d) -> Vec<Kernel> {
         .kernels()
         .iter()
         .map(|k| {
-            let mut frame = vec![Complex::ZERO; h * w];
+            let mut frame = vec![0.0f32; h * w];
             for ky in 0..size {
                 for kx in 0..size {
                     let dy = (ky + h - size / 2) % h;
@@ -50,52 +47,30 @@ fn kernels(model: &LithoModel, plan: &RealFft2d) -> Vec<Kernel> {
                     frame[dy * w + dx] = k.taps[ky * size + kx];
                 }
             }
-            // A compare, not an `f32::max` fold (see `Tensor::max_abs`).
-            let peak = frame.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0f32, |m, v| {
-                if v > m {
-                    v
-                } else {
-                    m
-                }
-            });
-            let parts: [fn(&Complex) -> f32; 2] = [|c| c.re, |c| c.im];
-            let components = parts
-                .iter()
-                .map(|part| frame.iter().map(part).collect::<Vec<f32>>())
-                .filter(|field| field.iter().any(|v| v.abs() > peak * 1e-6))
-                .map(|field| {
-                    let mut half = vec![Complex::ZERO; plan.spectrum_len()];
-                    plan.forward(&field, &mut half, &mut Vec::new()).unwrap();
-                    half
-                })
-                .collect();
-            Kernel { weight: k.weight, components }
+            let mut spectrum = vec![Complex::ZERO; plan.spectrum_len()];
+            plan.forward(&frame, &mut spectrum, &mut Vec::new()).unwrap();
+            Kernel { weight: k.weight, spectrum }
         })
         .collect()
 }
 
-/// The image-layout fields of every stored kernel component, in kernel
-/// order, and the intensity they sum to.
-fn fields(plan: &RealFft2d, kernels: &[Kernel], mask: &Field) -> (Vec<Vec<Vec<f32>>>, Vec<f32>) {
+/// The image-layout field of every kernel, in kernel order, and the
+/// intensity they sum to.
+fn fields(plan: &RealFft2d, kernels: &[Kernel], mask: &Field) -> (Vec<Vec<f32>>, Vec<f32>) {
     let mut mask_half = vec![Complex::ZERO; plan.spectrum_len()];
     plan.forward(mask.as_slice(), &mut mask_half, &mut Vec::new()).unwrap();
     let mut intensity = vec![0.0f32; plan.real_len()];
     let fields = kernels
         .iter()
         .map(|k| {
-            k.components
-                .iter()
-                .map(|comp| {
-                    let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
-                    mul_into(&mut prod, &mask_half, comp);
-                    let mut field = vec![0.0f32; plan.real_len()];
-                    plan.inverse(&mut prod, &mut field, &mut Vec::new()).unwrap();
-                    for (acc, &v) in intensity.iter_mut().zip(&field) {
-                        *acc += k.weight * v * v;
-                    }
-                    field
-                })
-                .collect()
+            let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
+            mul_into(&mut prod, &mask_half, &k.spectrum);
+            let mut field = vec![0.0f32; plan.real_len()];
+            plan.inverse(&mut prod, &mut field, &mut Vec::new()).unwrap();
+            for (acc, &v) in intensity.iter_mut().zip(&field) {
+                *acc += k.weight * v * v;
+            }
+            field
         })
         .collect();
     (fields, intensity)
@@ -122,16 +97,14 @@ fn gradient(
         *gi = chain * d * zv * (1.0 - zv);
     }
     let mut sum = vec![Complex::ZERO; plan.spectrum_len()];
-    for (k, fields) in kernels.iter().zip(&fields) {
-        for (comp, field) in k.components.iter().zip(fields) {
-            let u: Vec<f32> = g.iter().zip(field).map(|(&gi, &fi)| gi * fi).collect();
-            let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
-            plan.forward(&u, &mut spec, &mut Vec::new()).unwrap();
-            let mut adjoint = vec![Complex::ZERO; plan.spectrum_len()];
-            mul_conj_into(&mut adjoint, &spec, comp);
-            for (acc, c) in sum.iter_mut().zip(&adjoint) {
-                *acc += c.scale(2.0 * k.weight);
-            }
+    for (k, field) in kernels.iter().zip(&fields) {
+        let u: Vec<f32> = g.iter().zip(field).map(|(&gi, &fi)| gi * fi).collect();
+        let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
+        plan.forward(&u, &mut spec, &mut Vec::new()).unwrap();
+        let mut adjoint = vec![Complex::ZERO; plan.spectrum_len()];
+        mul_conj_into(&mut adjoint, &spec, &k.spectrum);
+        for (acc, c) in sum.iter_mut().zip(&adjoint) {
+            *acc += c.scale(2.0 * k.weight);
         }
     }
     let mut grad = vec![0.0f32; plan.real_len()];
@@ -171,29 +144,23 @@ fn gradient_and_aerial_match_the_interleaved_pipeline_bit_for_bit() {
         cfg.num_kernels = kernel_count;
         let plan = RealFft2d::new(size, size).unwrap();
         let (mask, target) = mask_and_target(size);
-        for (label, cfg) in [("in focus", cfg.clone()), ("defocus 60 nm", cfg.with_defocus(60.0))] {
-            let model = LithoModel::new(cfg, size, size).unwrap();
-            let kernels = kernels(&model, &plan);
-            assert_eq!(kernels.len(), model.num_kernels(), "{size} px {label}");
-            let stored: usize = kernels.iter().map(|k| k.components.len()).sum();
-            let per_kernel = if label == "in focus" { 1 } else { 2 };
-            assert_eq!(stored, per_kernel * kernels.len(), "{size} px {label}: components");
+        let model = LithoModel::new(cfg, size, size).unwrap();
+        let kernels = kernels(&model, &plan);
+        assert_eq!(kernels.len(), model.num_kernels(), "{size} px");
 
-            let mut aerial = vec![0.0f32; size * size];
-            model.aerial_image_into(&mask, &mut aerial).unwrap();
-            let (_, want) = fields(&plan, &kernels, &mask);
-            assert!(bits(&aerial) == bits(&want), "{size} px {label}: aerial bits differ");
+        let mut aerial = vec![0.0f32; size * size];
+        model.aerial_image_into(&mask, &mut aerial).unwrap();
+        let (_, want) = fields(&plan, &kernels, &mask);
+        assert!(bits(&aerial) == bits(&want), "{size} px: aerial bits differ");
 
-            for dose in [1.0f32, 0.98] {
-                let at = format!("{size} px {label}, dose {dose}");
-                let mut grad = vec![0.0f32; size * size];
-                let error = model.gradient_into(&mask, &target, dose, &mut grad).unwrap();
-                let (want_grad, want_error) =
-                    gradient(&model, &plan, &kernels, &mask, &target, dose);
-                assert!(want_error > 0.0, "{at}: a zero error tests nothing");
-                assert_eq!(error.to_bits(), want_error.to_bits(), "{at}: error bits differ");
-                assert!(bits(&grad) == bits(&want_grad), "{at}: gradient bits differ");
-            }
+        for dose in [1.0f32, 0.98] {
+            let at = format!("{size} px, dose {dose}");
+            let mut grad = vec![0.0f32; size * size];
+            let error = model.gradient_into(&mask, &target, dose, &mut grad).unwrap();
+            let (want_grad, want_error) = gradient(&model, &plan, &kernels, &mask, &target, dose);
+            assert!(want_error > 0.0, "{at}: a zero error tests nothing");
+            assert_eq!(error.to_bits(), want_error.to_bits(), "{at}: error bits differ");
+            assert!(bits(&grad) == bits(&want_grad), "{at}: gradient bits differ");
         }
     }
 }
